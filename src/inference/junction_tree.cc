@@ -7,6 +7,7 @@
 #include <numeric>
 #include <stdexcept>
 
+#include "inference/index_steps.h"
 #include "treedec/elimination.h"
 #include "treedec/tree_decomposition.h"
 #include "util/check.h"
@@ -32,11 +33,17 @@ size_t BitOf(const std::vector<VertexId>& bag, VertexId v) {
 // Bags at most this large get their constant gate factors pre-fused
 // into one static table / their index maps expanded into gather tables;
 // beyond it the 2^k precomputation would not pay for itself (such bags
-// only exist when even min-fill came out wide) and the generic
-// bit-recombination loops run instead. Mutable only through the
+// only exist when even min-fill came out wide) and the IndexSteps
+// sweeps over raw bit positions run instead. Mutable only through the
 // SetKernelThresholdsForTest hook.
 int g_fuse_max_k = 16;
 int g_gather_max_k = 16;
+
+// Pool totals (static cells, gather cells, bit positions) at or above
+// this limit would wrap the plan's 32-bit offsets. Mutable only through
+// the SetOffsetLimitForTest hook.
+constexpr size_t kDefaultOffsetLimit = UINT32_MAX;
+size_t g_offset_limit = kDefaultOffsetLimit;
 
 }  // namespace
 
@@ -349,22 +356,60 @@ JunctionTreePlan JunctionTreePlan::BuildImpl(JunctionTreeAnalysis a,
   // 4. Lower each bag to its flat program: pre-fused static table,
   // variable-factor bit positions, child-message and marginalisation
   // index maps (gather tables plus the raw bit positions as fallback).
-  auto push_bits = [&plan](const std::vector<uint8_t>& bits, uint32_t* begin,
-                           uint32_t* count) {
-    *begin = static_cast<uint32_t>(plan.bit_pool_.size());
-    *count = static_cast<uint32_t>(bits.size());
-    plan.bit_pool_.insert(plan.bit_pool_.end(), bits.begin(), bits.end());
-  };
-  auto make_gather = [&plan](const std::vector<uint8_t>& bits, uint32_t k) {
-    const uint32_t off = static_cast<uint32_t>(plan.gather_.size());
-    const size_t size = size_t{1} << k;
-    for (size_t idx = 0; idx < size; ++idx) {
-      uint32_t m = 0;
-      for (size_t i = 0; i < bits.size(); ++i) {
-        m |= static_cast<uint32_t>((idx >> bits[i]) & 1u) << i;
+  // Every pool is sized exactly from the bag sizes and child counts
+  // first, so the loop below writes through precomputed offsets and no
+  // table grows by doubling: a fused bag owns 2^k static cells, a bag
+  // at most g_gather_max_k wide owns 2^k gather cells per child edge
+  // and one more for its marginalisation, and every separator (the
+  // child bag minus its defining vertex) stores k_child - 1 bit
+  // positions at both of its ends.
+  size_t static_cells = 0, gather_cells = 0, pool_bits = 0;
+  size_t num_var_factors = 0, num_static_factors = 0;
+  for (BagId b = 0; b < num_bags; ++b) {
+    const size_t k = td.bag(b).size();
+    const size_t cells = size_t{1} << k;
+    const bool is_root = td.parent(b) == kInvalidBag;
+    for (uint32_t fi : bag_factors[b]) {
+      if (factors[fi].table == nullptr) {
+        ++num_var_factors;
+      } else if (static_cast<int>(k) > g_fuse_max_k) {
+        ++num_static_factors;
+        pool_bits += factors[fi].scope.size();
       }
-      plan.gather_.push_back(m);
     }
+    if (static_cast<int>(k) <= g_fuse_max_k) static_cells += cells;
+    if (static_cast<int>(k) <= g_gather_max_k) {
+      gather_cells += cells * (td.children(b).size() + (is_root ? 0 : 1));
+    }
+    for (BagId c : td.children(b)) pool_bits += td.bag(c).size() - 1;
+    if (!is_root) pool_bits += k - 1;
+  }
+  // Static, gather and bit offsets are 32-bit with UINT32_MAX (kNone)
+  // as the "absent" sentinel, like the arena offsets checked in step 6:
+  // a plan whose pools would not fit is refused with a typed status
+  // before anything is allocated, never built with wrapped offsets.
+  if (static_cells >= g_offset_limit || gather_cells >= g_offset_limit ||
+      pool_bits >= g_offset_limit) {
+    plan.build_status_ = EngineStatus::kResourceExhausted;
+    return plan;
+  }
+  plan.static_.assign(static_cells, 1.0);
+  plan.gather_.resize(gather_cells);
+  plan.bit_pool_.resize(pool_bits);
+  plan.var_factors_.reserve(num_var_factors);
+  plan.var_factor_bag_.reserve(num_var_factors);
+  plan.static_factors_.reserve(num_static_factors);
+  plan.children_.reserve(num_bags - 1);
+  uint32_t static_next = 0, gather_next = 0, pool_next = 0;
+
+  // Expands the index map of `bits` over a 2^k-cell bag into the next
+  // gather table.
+  auto make_gather = [&plan, &gather_next](const uint8_t* bits,
+                                           uint32_t count, uint32_t k) {
+    const uint32_t off = gather_next;
+    uint32_t* map = plan.gather_.data() + off;
+    IndexSteps(bits, count).Fill(size_t{1} << k, map);
+    gather_next += uint32_t{1} << k;
     return off;
   };
 
@@ -375,10 +420,22 @@ JunctionTreePlan JunctionTreePlan::BuildImpl(JunctionTreeAnalysis a,
     bag.k = static_cast<uint8_t>(members.size());
     bag.is_root = td.parent(b) == kInvalidBag;
     plan.max_k_ = std::max<uint32_t>(plan.max_k_, bag.k);
+    const size_t size = size_t{1} << bag.k;
 
-    // Variable factors and static factors of this bag.
+    // Variable factors and static factors of this bag. The constant
+    // gate factors are pre-fused into one static table so Execute only
+    // multiplies variable factors and messages in; wide bags keep them
+    // as separate factors over their bit positions instead.
+    const bool fuse = bag.k <= g_fuse_max_k;
+    double* st = nullptr;
+    if (fuse) {
+      bag.static_off = static_next;
+      st = plan.static_.data() + static_next;
+      static_next += static_cast<uint32_t>(size);
+    } else {
+      bag.sfac_begin = static_cast<uint32_t>(plan.static_factors_.size());
+    }
     bag.var_begin = static_cast<uint32_t>(plan.var_factors_.size());
-    std::vector<std::pair<const double*, std::vector<uint8_t>>> statics;
     for (uint32_t fi : bag_factors[b]) {
       const TmpFactor& f = factors[fi];
       if (f.table == nullptr) {
@@ -389,38 +446,26 @@ JunctionTreePlan JunctionTreePlan::BuildImpl(JunctionTreeAnalysis a,
             std::max<size_t>(plan.num_events_, size_t{f.event} + 1);
         continue;
       }
-      std::vector<uint8_t> bits;
-      bits.reserve(f.scope.size());
-      for (VertexId v : f.scope) {
-        bits.push_back(static_cast<uint8_t>(BitOf(members, v)));
+      uint8_t local[3];  // Gate scopes: output plus at most two inputs.
+      TUD_CHECK_LE(f.scope.size(), 3u);
+      uint8_t* bits = fuse ? local : plan.bit_pool_.data() + pool_next;
+      for (size_t i = 0; i < f.scope.size(); ++i) {
+        bits[i] = static_cast<uint8_t>(BitOf(members, f.scope[i]));
       }
-      statics.emplace_back(f.table, std::move(bits));
+      if (fuse) {
+        const double* table = f.table;
+        IndexSteps(bits, f.scope.size())
+            .ForEach(size, [st, table](size_t idx, uint32_t fidx) {
+              st[idx] *= table[fidx];
+            });
+      } else {
+        plan.static_factors_.push_back(StaticFactor{
+            f.table, pool_next, static_cast<uint32_t>(f.scope.size())});
+        pool_next += static_cast<uint32_t>(f.scope.size());
+      }
     }
     bag.var_end = static_cast<uint32_t>(plan.var_factors_.size());
-
-    // Pre-fuse the constant gate factors into one static table so
-    // Execute only multiplies variable factors and messages in.
-    if (bag.k <= g_fuse_max_k) {
-      bag.static_off = static_cast<uint32_t>(plan.static_.size());
-      const size_t size = size_t{1} << bag.k;
-      plan.static_.resize(plan.static_.size() + size, 1.0);
-      double* st = plan.static_.data() + bag.static_off;
-      for (const auto& [table, bits] : statics) {
-        for (size_t idx = 0; idx < size; ++idx) {
-          size_t fidx = 0;
-          for (size_t i = 0; i < bits.size(); ++i) {
-            fidx |= ((idx >> bits[i]) & 1) << i;
-          }
-          st[idx] *= table[fidx];
-        }
-      }
-    } else {
-      bag.sfac_begin = static_cast<uint32_t>(plan.static_factors_.size());
-      for (const auto& [table, bits] : statics) {
-        StaticFactor sf{table, 0, 0};
-        push_bits(bits, &sf.bits_begin, &sf.bits_count);
-        plan.static_factors_.push_back(sf);
-      }
+    if (!fuse) {
       bag.sfac_end = static_cast<uint32_t>(plan.static_factors_.size());
     }
 
@@ -428,16 +473,19 @@ JunctionTreePlan JunctionTreePlan::BuildImpl(JunctionTreeAnalysis a,
     // members all live in this bag.
     bag.child_begin = static_cast<uint32_t>(plan.children_.size());
     for (BagId c : td.children(b)) {
-      ChildEdge edge{c, kNone, kNone, 0, 0};
+      ChildEdge edge{c, kNone, kNone, pool_next, 0};
       const VertexId child_vertex = vertex_of_bag[c];
-      std::vector<uint8_t> bits;
+      uint8_t* bits = plan.bit_pool_.data() + pool_next;
       for (VertexId v : td.bag(c)) {
         if (v != child_vertex) {
-          bits.push_back(static_cast<uint8_t>(BitOf(members, v)));
+          TUD_CHECK_LT(edge.bits_count + 1, td.bag(c).size());
+          bits[edge.bits_count++] = static_cast<uint8_t>(BitOf(members, v));
         }
       }
-      push_bits(bits, &edge.bits_begin, &edge.bits_count);
-      if (bag.k <= g_gather_max_k) edge.gather = make_gather(bits, bag.k);
+      pool_next += edge.bits_count;
+      if (bag.k <= g_gather_max_k) {
+        edge.gather = make_gather(bits, edge.bits_count, bag.k);
+      }
       plan.children_.push_back(edge);
     }
     bag.child_end = static_cast<uint32_t>(plan.children_.size());
@@ -446,14 +494,18 @@ JunctionTreePlan JunctionTreePlan::BuildImpl(JunctionTreeAnalysis a,
     // vertex.
     if (!bag.is_root) {
       const VertexId own_vertex = vertex_of_bag[b];
-      std::vector<uint8_t> bits;
+      bag.out_bits_begin = pool_next;
+      uint8_t* bits = plan.bit_pool_.data() + pool_next;
       for (size_t i = 0; i < members.size(); ++i) {
         if (members[i] != own_vertex) {
-          bits.push_back(static_cast<uint8_t>(i));
+          TUD_CHECK_LT(bag.out_count + 1, members.size());
+          bits[bag.out_count++] = static_cast<uint8_t>(i);
         }
       }
-      push_bits(bits, &bag.out_bits_begin, &bag.out_count);
-      if (bag.k <= g_gather_max_k) bag.out_gather = make_gather(bits, bag.k);
+      pool_next += bag.out_count;
+      if (bag.k <= g_gather_max_k) {
+        bag.out_gather = make_gather(bits, bag.out_count, bag.k);
+      }
     }
 
     bag.opcode = bag.k <= 3 && bag.static_off != kNone &&
@@ -461,6 +513,9 @@ JunctionTreePlan JunctionTreePlan::BuildImpl(JunctionTreeAnalysis a,
                      ? bag.k
                      : kOpGeneric;
   }
+  TUD_CHECK(static_next == static_cells && gather_next == gather_cells &&
+            pool_next == pool_bits)
+      << "plan pools not sized exactly";
 
   // The rootward path index ExecuteDelta walks: bag -> parent bag id.
   plan.parent_of_.assign(num_bags, kNone);
@@ -592,14 +647,11 @@ void JunctionTreePlan::ComputeBagBase(const Bag& bag, const double* vals,
     std::fill_n(table, size, 1.0);
     for (uint32_t si = bag.sfac_begin; si != bag.sfac_end; ++si) {
       const StaticFactor& sf = static_factors_[si];
-      const uint8_t* bits = bit_pool_.data() + sf.bits_begin;
-      for (size_t i = 0; i < size; ++i) {
-        size_t fidx = 0;
-        for (uint32_t j = 0; j < sf.bits_count; ++j) {
-          fidx |= ((i >> bits[j]) & 1) << j;
-        }
-        table[i] *= sf.table[fidx];
-      }
+      const double* factor = sf.table;
+      IndexSteps(bit_pool_.data() + sf.bits_begin, sf.bits_count)
+          .ForEach(size, [table, factor](size_t i, uint32_t fidx) {
+            table[i] *= factor[fidx];
+          });
     }
   }
   for (uint32_t vf = bag.var_begin; vf != bag.var_end; ++vf) {
@@ -642,14 +694,10 @@ void JunctionTreePlan::MarginalizeOut(const Bag& bag, const double* table,
     const uint32_t* map = gather_.data() + bag.out_gather;
     for (size_t i = 0; i < size; ++i) out[map[i]] += table[i];
   } else {
-    const uint8_t* bits = bit_pool_.data() + bag.out_bits_begin;
-    for (size_t i = 0; i < size; ++i) {
-      size_t midx = 0;
-      for (uint32_t j = 0; j < bag.out_count; ++j) {
-        midx |= ((i >> bits[j]) & 1) << j;
-      }
-      out[midx] += table[i];
-    }
+    IndexSteps(bit_pool_.data() + bag.out_bits_begin, bag.out_count)
+        .ForEach(size, [out, table](size_t i, uint32_t midx) {
+          out[midx] += table[i];
+        });
   }
 }
 
@@ -1145,23 +1193,17 @@ EngineStatus JunctionTreePlan::ExecuteBatchImpl(
           bag.down_off != kNone ? arena + bag.down_off : nullptr;
       const size_t size = size_t{1} << bag.k;
       double p1 = 0.0, total = 0.0;
-      for (size_t i = 0; i < size; ++i) {
-        double w = table[i];
-        if (down != nullptr) {
-          size_t midx;
-          if (bag.out_gather != kNone) {
-            midx = gather_[bag.out_gather + i];
-          } else {
-            midx = 0;
-            const uint8_t* bits = bit_pool_.data() + bag.out_bits_begin;
-            for (uint32_t j = 0; j < bag.out_count; ++j) {
-              midx |= ((i >> bits[j]) & 1) << j;
-            }
-          }
-          w *= down[midx];
-        }
+      auto accumulate = [&p1, &total, bit = qr.bit](size_t i, double w) {
         total += w;
-        if (((i >> qr.bit) & 1) != 0) p1 += w;
+        if (((i >> bit) & 1) != 0) p1 += w;
+      };
+      if (down == nullptr) {
+        for (size_t i = 0; i < size; ++i) accumulate(i, table[i]);
+      } else {
+        IndexSteps(bit_pool_.data() + bag.out_bits_begin, bag.out_count)
+            .ForEach(size, [&](size_t i, uint32_t midx) {
+              accumulate(i, table[i] * down[midx]);
+            });
       }
       result[qi] = total > 0.0 ? p1 / total : 0.0;
     }
@@ -1186,14 +1228,10 @@ void JunctionTreePlan::ApplyDown(const Bag& bag, const double* down,
     const uint32_t* map = gather_.data() + bag.out_gather;
     for (size_t i = 0; i < size; ++i) table[i] *= down[map[i]];
   } else {
-    const uint8_t* bits = bit_pool_.data() + bag.out_bits_begin;
-    for (size_t i = 0; i < size; ++i) {
-      size_t midx = 0;
-      for (uint32_t j = 0; j < bag.out_count; ++j) {
-        midx |= ((i >> bits[j]) & 1) << j;
-      }
-      table[i] *= down[midx];
-    }
+    IndexSteps(bit_pool_.data() + bag.out_bits_begin, bag.out_count)
+        .ForEach(size, [table, down](size_t i, uint32_t midx) {
+          table[i] *= down[midx];
+        });
   }
 }
 
@@ -1206,14 +1244,10 @@ void JunctionTreePlan::MultiplyChild(const Bag& bag, const ChildEdge& edge,
     const uint32_t* map = gather_.data() + edge.gather;
     for (size_t i = 0; i < size; ++i) table[i] *= msg[map[i]];
   } else {
-    const uint8_t* bits = bit_pool_.data() + edge.bits_begin;
-    for (size_t i = 0; i < size; ++i) {
-      size_t midx = 0;
-      for (uint32_t j = 0; j < edge.bits_count; ++j) {
-        midx |= ((i >> bits[j]) & 1) << j;
-      }
-      table[i] *= msg[midx];
-    }
+    IndexSteps(bit_pool_.data() + edge.bits_begin, edge.bits_count)
+        .ForEach(size, [table, msg](size_t i, uint32_t midx) {
+          table[i] *= msg[midx];
+        });
   }
 }
 
@@ -1226,14 +1260,10 @@ void JunctionTreePlan::MarginalizeEdge(const Bag& bag, const ChildEdge& edge,
     const uint32_t* map = gather_.data() + edge.gather;
     for (size_t i = 0; i < size; ++i) out[map[i]] += table[i];
   } else {
-    const uint8_t* bits = bit_pool_.data() + edge.bits_begin;
-    for (size_t i = 0; i < size; ++i) {
-      size_t midx = 0;
-      for (uint32_t j = 0; j < edge.bits_count; ++j) {
-        midx |= ((i >> bits[j]) & 1) << j;
-      }
-      out[midx] += table[i];
-    }
+    IndexSteps(bit_pool_.data() + edge.bits_begin, edge.bits_count)
+        .ForEach(size, [out, table](size_t i, uint32_t midx) {
+          out[midx] += table[i];
+        });
   }
 }
 
@@ -1266,6 +1296,10 @@ void JunctionTreePlan::SetKernelThresholdsForTest(int fuse_max_k,
                                                   int gather_max_k) {
   if (fuse_max_k >= 0) g_fuse_max_k = fuse_max_k;
   if (gather_max_k >= 0) g_gather_max_k = gather_max_k;
+}
+
+void JunctionTreePlan::SetOffsetLimitForTest(size_t limit) {
+  g_offset_limit = limit != 0 ? limit : kDefaultOffsetLimit;
 }
 
 // ---------------------------------------------------------------------------

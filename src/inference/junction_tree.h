@@ -144,7 +144,14 @@ class JunctionTreeAnalysis {
 /// constant gate factors (And/Or/Not/True) of a bag are pre-fused into
 /// one static table, child-message and marginalisation index maps are
 /// expanded into precomputed gather tables, and all message storage is
-/// laid out in one contiguous arena sized at build time. Execute()
+/// laid out in one contiguous arena sized at build time. Lowering costs
+/// O(1) per table cell: every index map is swept with the one-XOR-per-
+/// cell IndexSteps recurrence (index_steps.h), and the static, gather
+/// and bit-position pools are sized exactly from the bag sizes and
+/// child counts before any bag is lowered (pools that would overflow
+/// their 32-bit offsets fail the plan with kResourceExhausted). Bags
+/// wider than 16 keep no 2^k precomputation; their Execute loops run
+/// the same recurrence over the raw bit positions instead. Execute()
 /// reruns only the numeric bottom-up sum-product pass — a single arena
 /// allocation, a memcpy of each bag's static table, and multiplies of
 /// the variable (event) factors and child messages, dispatched to
@@ -311,14 +318,18 @@ class JunctionTreePlan {
 
   /// Test hooks: downgrade every small-bag kernel to the generic strided
   /// loop, or additionally drop the precomputed gather tables so the
-  /// bit-recombination fallback runs. Cross-checked against the default
-  /// dispatch in junction_batch_test.cc.
+  /// wide-bag IndexSteps loops run. Both must stay bit-identical to the
+  /// default dispatch (junction_batch_test.cc).
   void ForceGenericKernelsForTest();
   void ForceBitLoopsForTest();
   /// Test hook: caps below which static fusion / gather precomputation
   /// apply (defaults 16/16; pass negative values to leave unchanged).
   /// Affects subsequent Build calls; reset to defaults after use.
   static void SetKernelThresholdsForTest(int fuse_max_k, int gather_max_k);
+  /// Test hook: pool size (static cells, gather cells or bit positions)
+  /// at which Build refuses a plan with kResourceExhausted instead of
+  /// wrapping its 32-bit offsets. 0 restores the default (UINT32_MAX).
+  static void SetOffsetLimitForTest(size_t limit);
 
  private:
   static constexpr uint32_t kNone = UINT32_MAX;
@@ -341,7 +352,7 @@ class JunctionTreePlan {
     uint32_t msg_off;     ///< Child's upward-message offset in the arena.
     uint32_t gather;      ///< Offset into gather_ (2^k entries mapping
                           ///< this bag's index -> message index), or
-                          ///< kNone to recombine separator bits.
+                          ///< kNone to sweep the separator bits.
     uint32_t bits_begin;  ///< Separator bit positions in bit_pool_.
     uint32_t bits_count;
   };
@@ -460,9 +471,11 @@ class JunctionTreePlan {
   std::vector<VarFactor> var_factors_;
   std::vector<StaticFactor> static_factors_;
   std::vector<ChildEdge> children_;
+  // The three pools below are sized exactly at Build (no doubling
+  // slack) and addressed by 32-bit offsets.
   std::vector<double> static_;    ///< Pre-fused constant-factor tables.
   std::vector<uint32_t> gather_;  ///< Precomputed index maps.
-  std::vector<uint8_t> bit_pool_;
+  std::vector<uint8_t> bit_pool_; ///< Bit positions of every index map.
   std::vector<QueryRoot> query_roots_;  ///< Batch plans only.
 };
 

@@ -131,6 +131,50 @@ TEST(GovernedEngineTest, JunctionTreeCellCapReturnsStatusNotAbort) {
   EXPECT_EQ(engine.Estimate(circuit, f.lineage, events).value, expected);
 }
 
+TEST(GovernedEngineTest, PlanOffsetOverflowIsTypedStatus) {
+  // Static, gather and bit-position pools are addressed by 32-bit
+  // offsets. A plan whose pools would reach the limit is refused at
+  // Build with kResourceExhausted, never built with wrapped offsets.
+  // The hook lowers the limit so a small plan trips it: with default
+  // thresholds through its gather/static cells, with fusion and gather
+  // tables off (thresholds 0/0) through its bit positions alone.
+  LadderFixture f = MakeLadder();
+  const BoolCircuit& circuit = f.session.pcc().circuit();
+  const EventRegistry& events = f.session.pcc().events();
+  const double expected =
+      JunctionTreePlan::Build(circuit, f.lineage).Execute(events);
+
+  for (int thresholds : {16, 0}) {
+    JunctionTreePlan::SetKernelThresholdsForTest(thresholds, thresholds);
+    JunctionTreePlan::SetOffsetLimitForTest(64);
+    const JunctionTreePlan refused =
+        JunctionTreePlan::Build(circuit, f.lineage);
+    const JunctionTreePlan refused_batch =
+        JunctionTreePlan::BuildBatch(circuit, {f.lineage, f.lineage});
+    JunctionTreePlan::SetOffsetLimitForTest(0);
+    const JunctionTreePlan admitted =
+        JunctionTreePlan::Build(circuit, f.lineage);
+    JunctionTreePlan::SetKernelThresholdsForTest(16, 16);
+
+    EXPECT_EQ(refused.build_status(), EngineStatus::kResourceExhausted);
+    EXPECT_FALSE(refused.build_limited_by_budget());  // Intrinsic.
+    EXPECT_EQ(refused_batch.build_status(), EngineStatus::kResourceExhausted);
+    double value = -1.0;
+    EXPECT_EQ(refused.ExecuteGoverned(events, {}, nullptr, QueryBudget{},
+                                      &value),
+              EngineStatus::kResourceExhausted);
+    EXPECT_EQ(value, -1.0);
+    std::vector<double> values;
+    EXPECT_EQ(refused_batch.ExecuteBatchGoverned(events, {}, nullptr,
+                                                 QueryBudget{}, &values),
+              EngineStatus::kResourceExhausted);
+    EXPECT_TRUE(values.empty());
+
+    ASSERT_EQ(admitted.build_status(), EngineStatus::kOk);
+    EXPECT_EQ(admitted.Execute(events), expected);
+  }
+}
+
 TEST(GovernedEngineTest, PastDeadlinePreemptsExecution) {
   LadderFixture f = MakeLadder();
   JunctionTreeEngine engine;

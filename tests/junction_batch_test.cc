@@ -2,10 +2,11 @@
 // path: ExecuteBatch (one calibrating pass over a shared decomposition
 // of the union cone) must agree with sequential single-root Execute on
 // randomized circuits, with and without evidence; the small-bag kernels
-// must agree with the generic strided loop and the bit-recombination
-// fallback; and the session-level ProbabilityBatch surface must agree
-// with per-query Probability for every engine mode (shared pass,
-// thread-parallel per-root plans, default loop).
+// must be bit-identical to the generic strided loop and the wide-bag
+// IndexSteps fallback, in full and delta passes; and the session-level
+// ProbabilityBatch surface must agree with per-query Probability for
+// every engine mode (shared pass, thread-parallel per-root plans,
+// default loop).
 
 #include <algorithm>
 #include <memory>
@@ -123,18 +124,55 @@ TEST_P(JunctionBatchTest, SmallBagKernelsMatchGenericAndBitLoops) {
   JunctionTreePlan bitloops = JunctionTreePlan::Build(c, root);
   bitloops.ForceBitLoopsForTest();
 
+  // Every kernel multiplies the same factors in the same order, so the
+  // answers are bit-identical, not merely close.
   const double expected = fast.Execute(registry);
-  EXPECT_DOUBLE_EQ(generic.Execute(registry), expected);
-  EXPECT_DOUBLE_EQ(bitloops.Execute(registry), expected);
+  EXPECT_EQ(generic.Execute(registry), expected);
+  EXPECT_EQ(bitloops.Execute(registry), expected);
   const double pinned = fast.Execute(registry, evidence);
-  EXPECT_DOUBLE_EQ(generic.Execute(registry, evidence), pinned);
-  EXPECT_DOUBLE_EQ(bitloops.Execute(registry, evidence), pinned);
+  EXPECT_EQ(generic.Execute(registry, evidence), pinned);
+  EXPECT_EQ(bitloops.Execute(registry, evidence), pinned);
+}
+
+TEST_P(JunctionBatchTest, BitLoopDeltaMatchesFullExecute) {
+  // ExecuteDelta recomputes dirty bags with the same kernels as a full
+  // pass. Under ForceBitLoopsForTest (no gather tables) and with static
+  // fusion off (thresholds 0/0), those kernels are the IndexSteps
+  // sweeps over raw bit positions; either way delta must equal a full
+  // Execute of the same plan exactly.
+  Rng rng(GetParam() + 1200);
+  std::vector<GateId> pool;
+  BoolCircuit c = RandomCircuit(rng, 8, 35, &pool);
+  EventRegistry registry = RandomRegistry(rng, 8);
+  const GateId root = pool.back();
+
+  JunctionTreePlan bitloops = JunctionTreePlan::Build(c, root);
+  bitloops.ForceBitLoopsForTest();
+  JunctionTreePlan::SetKernelThresholdsForTest(0, 0);
+  JunctionTreePlan unfused = JunctionTreePlan::Build(c, root);
+  JunctionTreePlan::SetKernelThresholdsForTest(16, 16);
+
+  for (const JunctionTreePlan* plan : {&bitloops, &unfused}) {
+    PlanDeltaState state;
+    EXPECT_EQ(plan->ExecuteDelta(registry, {}, {}, state),
+              plan->Execute(registry));
+    for (int round = 0; round < 6; ++round) {
+      const EventId e = static_cast<EventId>(rng.UniformInt(8));
+      registry.set_probability(e, 0.05 + 0.9 * rng.UniformDouble());
+      // full_fraction 1: never fall back to a full pass.
+      EXPECT_EQ(plan->ExecuteDelta(registry, {}, {e}, state, nullptr, 1.0),
+                plan->Execute(registry))
+          << "round " << round;
+    }
+    EXPECT_EQ(state.full_passes, 1u);
+    EXPECT_EQ(state.delta_passes, 6u);
+  }
 }
 
 TEST_P(JunctionBatchTest, UnfusedStaticsMatchFusedTables) {
   // Thresholds at zero disable static-table fusion and gather
   // precomputation entirely, driving every bag down the unfused /
-  // bit-recombination path the widest bags use.
+  // raw-bit-position path the widest bags use.
   Rng rng(GetParam() + 1500);
   std::vector<GateId> pool;
   BoolCircuit c = RandomCircuit(rng, 8, 35, &pool);

@@ -60,15 +60,6 @@ void BM_EngineMessagePassing(benchmark::State& state) {
 BENCHMARK(BM_EngineMessagePassing)->RangeMultiplier(2)->Range(16, 512)
     ->Complexity();
 
-void BM_EngineMessagePassingSeeded(benchmark::State& state) {
-  Workload w = MakeWorkload(static_cast<uint32_t>(state.range(0)));
-  JunctionTreeEngine engine(/*seed_topological=*/true);
-  RunEngine(state, engine, w);
-  state.SetComplexityN(state.range(0));
-}
-BENCHMARK(BM_EngineMessagePassingSeeded)->RangeMultiplier(2)->Range(16, 512)
-    ->Complexity();
-
 void BM_EngineBddCompilation(benchmark::State& state) {
   Workload w = MakeWorkload(static_cast<uint32_t>(state.range(0)));
   BddEngine engine;
@@ -124,7 +115,7 @@ void BM_EngineBatch(benchmark::State& state) {
     roots.push_back(cone[i]);
   }
   roots.push_back(w.lineage);
-  JunctionTreeEngine engine(/*seed_topological=*/false, /*cache_plans=*/true);
+  JunctionTreeEngine engine(/*cache_plans=*/true);
   std::vector<EngineResult> results;
   for (auto _ : state) {
     // batched=0 calls the base-class default (one Estimate per root,

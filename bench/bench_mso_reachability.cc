@@ -43,8 +43,7 @@ void BM_ReachabilityLadder(benchmark::State& state) {
   // reruns.
   QuerySession session = QuerySession::FromCInstance(
       tid.ToPcInstance(),
-      std::make_unique<JunctionTreeEngine>(
-          /*seed_topological=*/false, /*cache_plans=*/true));
+      std::make_unique<JunctionTreeEngine>(/*cache_plans=*/true));
   double p = 0;
   LineageStats stats;
   for (auto _ : state) {
@@ -112,8 +111,7 @@ void BM_ReachabilityBatch32(benchmark::State& state) {
   }
   QuerySession session = QuerySession::FromCInstance(
       tid.ToPcInstance(),
-      std::make_unique<JunctionTreeEngine>(
-          /*seed_topological=*/false, /*cache_plans=*/true));
+      std::make_unique<JunctionTreeEngine>(/*cache_plans=*/true));
   // 32 targets spread over the path's n vertices.
   std::vector<Value> targets;
   for (uint32_t k = 1; k <= 32; ++k) {
@@ -157,8 +155,7 @@ void BM_ReachabilityKTree(benchmark::State& state) {
   TidInstance tid = KTreeEdgeTid(rng, n, k);
   QuerySession session = QuerySession::FromCInstance(
       tid.ToPcInstance(),
-      std::make_unique<JunctionTreeEngine>(
-          /*seed_topological=*/false, /*cache_plans=*/true));
+      std::make_unique<JunctionTreeEngine>(/*cache_plans=*/true));
   double p = 0;
   LineageStats stats;
   for (auto _ : state) {

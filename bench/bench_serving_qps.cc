@@ -95,8 +95,7 @@ int Main(int argc, char** argv) {
   TidInstance tid = workloads::MakeInstance(*spec);
   QuerySession session = QuerySession::FromCInstance(
       tid.ToPcInstance(),
-      std::make_unique<JunctionTreeEngine>(/*seed_topological=*/false,
-                                           /*cache_plans=*/true));
+      std::make_unique<JunctionTreeEngine>(/*cache_plans=*/true));
   std::vector<GateId> lineages;
   for (auto [source, target] : EndpointGrid(*spec))
     lineages.push_back(session.ReachabilityLineage(0, source, target));

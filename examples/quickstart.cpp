@@ -61,7 +61,7 @@ int main() {
   // 3. The same probability through every exact engine of the unified
   //    interface — one Estimate signature instead of five ad-hoc ones.
   ExhaustiveEngine exhaustive;
-  JunctionTreeEngine message_passing(/*seed_topological=*/true);
+  JunctionTreeEngine message_passing;
   BddEngine bdd;
   ProbabilityEngine* engines[] = {&exhaustive, &message_passing, &bdd};
   for (ProbabilityEngine* engine : engines) {

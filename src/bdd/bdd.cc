@@ -63,36 +63,9 @@ BddRef BddManager::Or(BddRef f, BddRef g) { return Ite(f, kBddTrue, g); }
 
 BddRef BddManager::FromCircuit(const BoolCircuit& circuit, GateId root,
                                const std::vector<uint32_t>& event_level) {
-  std::vector<BddRef> compiled(circuit.NumGates(), kBddFalse);
-  for (GateId g : circuit.ReachableFrom(root)) {
-    switch (circuit.kind(g)) {
-      case GateKind::kConst:
-        compiled[g] = circuit.const_value(g) ? kBddTrue : kBddFalse;
-        break;
-      case GateKind::kVar: {
-        EventId e = circuit.var(g);
-        TUD_CHECK_LT(e, event_level.size());
-        compiled[g] = Var(event_level[e]);
-        break;
-      }
-      case GateKind::kNot:
-        compiled[g] = Not(compiled[circuit.inputs(g)[0]]);
-        break;
-      case GateKind::kAnd: {
-        BddRef acc = kBddTrue;
-        for (GateId in : circuit.inputs(g)) acc = And(acc, compiled[in]);
-        compiled[g] = acc;
-        break;
-      }
-      case GateKind::kOr: {
-        BddRef acc = kBddFalse;
-        for (GateId in : circuit.inputs(g)) acc = Or(acc, compiled[in]);
-        compiled[g] = acc;
-        break;
-      }
-    }
-  }
-  return compiled[root];
+  BudgetMeter unlimited;
+  EngineStatus status;
+  return *FromCircuitGoverned(circuit, root, event_level, unlimited, &status);
 }
 
 std::optional<BddRef> BddManager::FromCircuitGoverned(

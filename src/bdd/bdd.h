@@ -47,7 +47,7 @@ class BddManager {
 
   /// Compiles gate `root` of `circuit`. `event_level` maps each EventId
   /// to its variable level (must be a bijection onto 0..num_levels-1 for
-  /// the events used).
+  /// the events used). FromCircuitGoverned under an unlimited budget.
   BddRef FromCircuit(const BoolCircuit& circuit, GateId root,
                      const std::vector<uint32_t>& event_level);
 

@@ -13,8 +13,7 @@ namespace incremental {
 IncrementalSession::IncrementalSession(QuerySession& session,
                                        const IncrementalOptions& options)
     : session_(session),
-      options_(options),
-      plan_cache_(options.seed_topological) {}
+      options_(options) {}
 
 QueryId IncrementalSession::RegisterCq(const ConjunctiveQuery& query) {
   RegisteredQuery q;
@@ -187,7 +186,11 @@ void IncrementalSession::ApplyStructuralUpdate(FactId fact,
 }
 
 EngineResult IncrementalSession::Probability(QueryId query,
-                                             const Evidence& evidence) {
+                                             const Evidence& evidence,
+                                             const QueryBudget& budget) {
+  if (query >= queries_.size()) {
+    return MakeStatusResult("incremental_jt", EngineStatus::kInvalidArgument);
+  }
   RegisteredQuery& q = queries_[query];
   DirtyLog& log = session_.dirty_log();
   dirty_scratch_.clear();
@@ -199,55 +202,15 @@ EngineResult IncrementalSession::Probability(QueryId query,
   q.cursor = log.generation();
 
   const JunctionTreePlan* plan =
-      plan_cache_.GetOrBuild(session_.pcc().circuit(), q.root);
+      plan_cache_.GetOrBuild(session_.pcc().circuit(), q.root, budget);
   const uint64_t full_before = q.delta.full_passes;
   EngineResult result;
-  result.value =
-      plan->ExecuteDelta(session_.pcc().events(), evidence, dirty_scratch_,
-                         q.delta, &result.stats, options_.delta_full_fraction);
   result.engine = "incremental_jt";
-  if (q.delta.full_passes != full_before) {
-    ++stats_.full_executes;
-  } else {
-    ++stats_.delta_executes;
-    stats_.bags_recomputed += result.stats.bags_visited;
-  }
-  CompactDirtyLog();
-  return result;
-}
-
-EngineResult IncrementalSession::Probability(QueryId query,
-                                             const Evidence& evidence,
-                                             const QueryBudget& budget) {
-  if (budget.unlimited()) return Probability(query, evidence);
-  if (query >= queries_.size()) {
-    return MakeStatusResult("incremental_jt", EngineStatus::kInvalidArgument);
-  }
-  RegisteredQuery& q = queries_[query];
-  DirtyLog& log = session_.dirty_log();
-  dirty_scratch_.clear();
-  if (!log.CollectSince(q.cursor, &dirty_scratch_)) {
-    dirty_scratch_.clear();
-    q.delta.Reset();
-  }
-  q.cursor = log.generation();
-
-  const JunctionTreePlan* plan =
-      plan_cache_.GetOrBuild(session_.pcc().circuit(), q.root, &budget);
-  EngineResult result;
-  result.engine = "incremental_jt";
-  if (plan->build_status() != EngineStatus::kOk) {
-    result.status = plan->build_status();
-    result.error_bound = 1.0;
-    CompactDirtyLog();
-    return result;
-  }
-  const uint64_t full_before = q.delta.full_passes;
-  result.status = plan->ExecuteDeltaGoverned(
-      session_.pcc().events(), evidence, dirty_scratch_, q.delta, budget,
-      &result.value, &result.stats, options_.delta_full_fraction);
-  if (result.status != EngineStatus::kOk) {
-    // ExecuteDeltaGoverned poisoned the delta state (partial
+  result.status = plan->ExecuteDelta(
+      session_.pcc().events(), evidence, dirty_scratch_, q.delta,
+      &result.value, &result.stats, options_.delta_full_fraction, budget);
+  if (!result.ok()) {
+    // ExecuteDelta poisoned the delta state (a failed plan or a partial
     // repropagation is never persisted); the cursor already advanced,
     // so the next call pays one clean full pass.
     result.error_bound = 1.0;
@@ -274,7 +237,7 @@ uint64_t IncrementalSession::PublishSnapshot(EpochManager& manager) {
   SessionSnapshot snap;
   auto circuit = std::make_shared<const BoolCircuit>(pcc.circuit());
   auto registry = std::make_shared<const EventRegistry>(pcc.events());
-  auto plans = std::make_shared<ConcurrentPlanCache>(options_.seed_topological);
+  auto plans = std::make_shared<ConcurrentPlanCache>();
   snap.query_roots.reserve(queries_.size());
   for (const RegisteredQuery& q : queries_) {
     // Prewarm against the snapshot's own circuit copy: epoch readers

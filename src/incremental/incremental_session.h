@@ -28,9 +28,6 @@ struct IncrementalOptions {
   /// Beyond the bound the order is re-searched from scratch. Negative
   /// values force the rebuild path (test hook).
   int repair_width_slack = 2;
-  /// Seed plan decompositions from circuit construction order (see
-  /// JunctionTreePlan::Build).
-  bool seed_topological = false;
 };
 
 /// Maintenance counters: which path each update and query actually
@@ -139,17 +136,17 @@ class IncrementalSession {
   /// query's last evaluation are collected from the session log and
   /// handed to ExecuteDelta on the cached plan. Results are
   /// bit-identical to a fresh full evaluation of the current state.
-  EngineResult Probability(QueryId query, const Evidence& evidence = {});
-
-  /// Governed Probability: the budget is checked at bag granularity
-  /// inside the delta pass (JunctionTreePlan::ExecuteDeltaGoverned). A
-  /// trip returns a structured non-kOk status; the query's delta state
-  /// is reset so the next call takes a clean full pass — a partial
-  /// repropagation is never persisted. The query's dirty-log cursor
+  ///
+  /// The budget (unlimited by default) is checked at bag granularity
+  /// inside the delta pass. A trip — or a plan that cannot be built —
+  /// returns a structured non-kOk status; the query's delta state is
+  /// reset so the next call takes a clean full pass (a partial
+  /// repropagation is never persisted). The query's dirty-log cursor
   /// still advances (the marks were consumed), so a tripped query pays
-  /// one full pass afterwards rather than replaying the marks.
-  EngineResult Probability(QueryId query, const Evidence& evidence,
-                           const QueryBudget& budget);
+  /// one full pass afterwards rather than replaying the marks. An
+  /// unregistered `query` returns kInvalidArgument.
+  EngineResult Probability(QueryId query, const Evidence& evidence = {},
+                           const QueryBudget& budget = {});
 
   /// Persistence restore: re-records a deletion tombstone without
   /// re-driving the event (the restored registry already holds the

@@ -264,15 +264,11 @@ static PlanScratch* ThreadScratch() {
   return &scratch;
 }
 
-JunctionTreeEngine::JunctionTreeEngine(bool seed_topological,
-                                       bool cache_plans,
+JunctionTreeEngine::JunctionTreeEngine(bool cache_plans,
                                        unsigned batch_threads)
-    : seed_topological_(seed_topological),
-      cache_plans_(cache_plans),
+    : cache_plans_(cache_plans),
       batch_threads_(batch_threads == 0 ? 1 : batch_threads) {
-  if (cache_plans_) {
-    cache_ = std::make_unique<ConcurrentPlanCache>(seed_topological_);
-  }
+  if (cache_plans_) cache_ = std::make_unique<ConcurrentPlanCache>();
 }
 
 JunctionTreeEngine::~JunctionTreeEngine() = default;
@@ -291,19 +287,10 @@ void JunctionTreeEngine::BindCircuit(const BoolCircuit& circuit) {
   }
 }
 
-const JunctionTreePlan* JunctionTreeEngine::PlanFor(const BoolCircuit& circuit,
-                                                    GateId root) {
-  // Build-once publication and the root-kind revalidation (guarding the
-  // case pointer identity cannot: the bound circuit destroyed and a
-  // different one reallocated at the same address) both live in the
-  // concurrent cache.
-  return cache_->GetOrBuild(circuit, root);
-}
-
 void JunctionTreeEngine::Prewarm(const BoolCircuit& circuit, GateId root) {
   TUD_CHECK(cache_plans_) << "Prewarm requires a plan-caching engine";
   BindCircuit(circuit);
-  PlanFor(circuit, root);
+  cache_->GetOrBuild(circuit, root);
 }
 
 EngineResult JunctionTreeEngine::EstimateImpl(const BoolCircuit& circuit,
@@ -311,67 +298,21 @@ EngineResult JunctionTreeEngine::EstimateImpl(const BoolCircuit& circuit,
                                               const EventRegistry& registry,
                                               const Evidence& evidence,
                                               const QueryBudget& budget) {
-  EngineResult result;
-  result.engine = name();
-  if (budget.unlimited()) {
-    // The pre-existing exact path, untouched: no meter, no per-bag
-    // branches (the ungoverned hot loop stays the ungoverned hot loop).
-    if (!cache_plans_) {
-      JunctionTreePlan plan =
-          JunctionTreePlan::Build(circuit, root, seed_topological_);
-      plan.FillStats(&result.stats);
-      result.value = plan.Execute(registry, evidence, ThreadScratch());
-      return result;
-    }
-    BindCircuit(circuit);
-    const JunctionTreePlan* plan = PlanFor(circuit, root);
-    plan->FillStats(&result.stats);
-    result.value = plan->Execute(registry, evidence, ThreadScratch());
-    return result;
-  }
-  // Governed: the budget gates both the Build (a decomposition whose
-  // tables would blow the cell cap is refused before any arena exists)
-  // and the per-bag message pass.
+  // The budget gates both the Build (a decomposition whose tables would
+  // blow the cell cap is refused before any arena exists) and the
+  // per-bag message pass; a failed plan is a status, never an abort.
   if (!cache_plans_) {
-    JunctionTreePlan plan = JunctionTreePlan::Build(
-        JunctionTreeAnalysis::Analyze(circuit, root), seed_topological_,
-        budget);
-    plan.FillStats(&result.stats);
-    if (plan.build_status() != EngineStatus::kOk) {
-      result.status = plan.build_status();
-      result.error_bound = 1.0;
-      return result;
-    }
-    double value = 0.0;
-    EngineStatus st =
-        plan.ExecuteGoverned(registry, evidence, ThreadScratch(), budget,
-                             &value);
-    if (st != EngineStatus::kOk) {
-      result.status = st;
-      result.error_bound = 1.0;
-      return result;
-    }
-    result.value = value;
-    return result;
+    return EstimateWithPlan(JunctionTreePlan::Build(circuit, root, budget),
+                            name(), registry, evidence, ThreadScratch(),
+                            budget);
   }
+  // Build-once publication and the root-kind revalidation (guarding the
+  // case pointer identity cannot: the bound circuit destroyed and a
+  // different one reallocated at the same address) both live in the
+  // concurrent cache.
   BindCircuit(circuit);
-  const JunctionTreePlan* plan = cache_->GetOrBuild(circuit, root, &budget);
-  plan->FillStats(&result.stats);
-  if (plan->build_status() != EngineStatus::kOk) {
-    result.status = plan->build_status();
-    result.error_bound = 1.0;
-    return result;
-  }
-  double value = 0.0;
-  EngineStatus st = plan->ExecuteGoverned(registry, evidence, ThreadScratch(),
-                                          budget, &value);
-  if (st != EngineStatus::kOk) {
-    result.status = st;
-    result.error_bound = 1.0;
-    return result;
-  }
-  result.value = value;
-  return result;
+  return EstimateWithPlan(*cache_->GetOrBuild(circuit, root, budget), name(),
+                          registry, evidence, ThreadScratch(), budget);
 }
 
 std::vector<EngineResult> JunctionTreeEngine::EstimateBatchImpl(
@@ -380,7 +321,6 @@ std::vector<EngineResult> JunctionTreeEngine::EstimateBatchImpl(
     const QueryBudget& budget) {
   std::vector<EngineResult> results(roots.size());
   if (roots.empty()) return results;
-  const bool governed = !budget.unlimited();
 
   if (batch_threads_ > 1) {
     // Per-root plans executed across threads. Plans are built (and
@@ -392,18 +332,13 @@ std::vector<EngineResult> JunctionTreeEngine::EstimateBatchImpl(
     if (cache_plans_) {
       BindCircuit(circuit);
       for (GateId root : roots) {
-        plans.push_back(governed ? cache_->GetOrBuild(circuit, root, &budget)
-                                 : PlanFor(circuit, root));
+        plans.push_back(cache_->GetOrBuild(circuit, root, budget));
       }
     } else {
       owned.reserve(roots.size());
       for (GateId root : roots) {
         owned.push_back(std::make_shared<const JunctionTreePlan>(
-            governed ? JunctionTreePlan::Build(
-                           JunctionTreeAnalysis::Analyze(circuit, root),
-                           seed_topological_, budget)
-                     : JunctionTreePlan::Build(circuit, root,
-                                               seed_topological_)));
+            JunctionTreePlan::Build(circuit, root, budget)));
         plans.push_back(owned.back().get());
       }
     }
@@ -414,29 +349,9 @@ std::vector<EngineResult> JunctionTreeEngine::EstimateBatchImpl(
     for (size_t t = 0; t < num_threads; ++t) {
       workers.emplace_back([&, t] {
         for (size_t i = t; i < roots.size(); i += num_threads) {
-          EngineResult& result = results[i];
-          result.engine = name();
-          plans[i]->FillStats(&result.stats);
-          result.stats.batch_size = roots.size();
-          if (!governed) {
-            result.value = plans[i]->Execute(registry, evidence,
-                                             ThreadScratch());
-            continue;
-          }
-          if (plans[i]->build_status() != EngineStatus::kOk) {
-            result.status = plans[i]->build_status();
-            result.error_bound = 1.0;
-            continue;
-          }
-          double value = 0.0;
-          EngineStatus st = plans[i]->ExecuteGoverned(
-              registry, evidence, ThreadScratch(), budget, &value);
-          if (st != EngineStatus::kOk) {
-            result.status = st;
-            result.error_bound = 1.0;
-            continue;
-          }
-          result.value = value;
+          results[i] = EstimateWithPlan(*plans[i], name(), registry,
+                                        evidence, ThreadScratch(), budget);
+          results[i].stats.batch_size = roots.size();
         }
       });
     }
@@ -525,37 +440,25 @@ std::vector<EngineResult> JunctionTreeEngine::EstimateBatchImpl(
     if (group.plan != nullptr) {
       EngineStats group_stats;
       group.plan->FillStats(&group_stats);
-      if (!governed) {
-        std::vector<double> values = group.plan->ExecuteBatch(
-            registry, evidence, &group_stats, ThreadScratch());
+      std::vector<double> values;
+      EngineStatus st = group.plan->ExecuteBatch(
+          registry, evidence, &values, &group_stats, ThreadScratch(), budget);
+      if (st == EngineStatus::kOk) {
         for (size_t j = 0; j < group.members.size(); ++j) {
           EngineResult& r = canonical[group.members[j]];
           r.engine = name();
           r.value = values[j];
           r.stats = group_stats;
         }
+      } else if (st == EngineStatus::kResourceExhausted) {
+        // The shared plan (memoised by a budget-free decision) is over
+        // this call's cell cap, or failed to build; each root's own plan
+        // may still fit.
+        fall_back_per_root = true;
       } else {
-        std::vector<double> values;
-        EngineStatus st = group.plan->ExecuteBatchGoverned(
-            registry, evidence, ThreadScratch(), budget, &values,
-            &group_stats);
-        if (st == EngineStatus::kOk) {
-          for (size_t j = 0; j < group.members.size(); ++j) {
-            EngineResult& r = canonical[group.members[j]];
-            r.engine = name();
-            r.value = values[j];
-            r.stats = group_stats;
-          }
-        } else if (st == EngineStatus::kResourceExhausted) {
-          // The shared plan (memoised from an ungoverned decision) is
-          // over this call's cell cap; each root's own plan may still
-          // fit under it.
-          fall_back_per_root = true;
-        } else {
-          for (uint32_t m : group.members) {
-            canonical[m] = MakeStatusResult(name(), st);
-            canonical[m].stats = group_stats;
-          }
+        for (uint32_t m : group.members) {
+          canonical[m] = MakeStatusResult(name(), st);
+          canonical[m].stats = group_stats;
         }
       }
     }
@@ -618,8 +521,7 @@ JunctionTreeEngine::CachedBatchPlan JunctionTreeEngine::DecideBatch(
     all.members.resize(n);
     std::iota(all.members.begin(), all.members.end(), 0u);
     all.plan = std::make_shared<const JunctionTreePlan>(
-        JunctionTreePlan::BuildBatch(std::move(union_analysis),
-                                     seed_topological_));
+        JunctionTreePlan::BuildBatch(std::move(union_analysis)));
     decision.groups.push_back(std::move(all));
     decision.path = BatchPath::kShared;
     return decision;
@@ -648,8 +550,7 @@ JunctionTreeEngine::CachedBatchPlan JunctionTreeEngine::DecideBatch(
           group_analysis.MinDegreeWidth() <= kMaxExactMessagePassingWidth;
       if (fits && 2.0 * group_analysis.TableCost() <= sequential) {
         group.plan = std::make_shared<const JunctionTreePlan>(
-            JunctionTreePlan::BuildBatch(std::move(group_analysis),
-                                         seed_topological_));
+            JunctionTreePlan::BuildBatch(std::move(group_analysis)));
         any_shared = true;
       }
     }
@@ -684,14 +585,8 @@ EngineResult BddEngine::EstimateImpl(const BoolCircuit& circuit, GateId root,
   }
   BddManager manager(num_levels);
   result.stats.cone_events = CountConeEvents(cone, cone_root);
-  if (budget.unlimited()) {
-    BddRef f = manager.FromCircuit(cone, cone_root, levels);
-    result.value = manager.Wmc(f, probs);
-    result.stats.bdd_nodes = manager.NumNodes();
-    return result;
-  }
-  // Governed: the cell cap doubles as a node cap on the compilation, so
-  // a blowing-up BDD trips resource_exhausted instead of eating memory.
+  // The cell cap doubles as a node cap on the compilation, so a
+  // blowing-up BDD trips resource_exhausted instead of eating memory.
   BudgetMeter meter(budget);
   EngineStatus st = EngineStatus::kOk;
   std::optional<BddRef> f =
@@ -711,37 +606,17 @@ EngineResult ConditioningEngine::EstimateImpl(const BoolCircuit& circuit,
                                               const EventRegistry& registry,
                                               const Evidence& evidence,
                                               const QueryBudget& budget) {
+  if (evidence.empty()) {
+    return EstimateWithPlan(JunctionTreePlan::Build(circuit, root, budget),
+                            name(), registry, {}, ThreadScratch(), budget);
+  }
   EngineResult result;
   result.engine = name();
-  const bool governed = !budget.unlimited();
-  if (evidence.empty()) {
-    if (!governed) {
-      result.value =
-          JunctionTreeProbability(circuit, root, registry, &result.stats);
-      return result;
-    }
-    JunctionTreePlan plan = JunctionTreePlan::Build(
-        JunctionTreeAnalysis::Analyze(circuit, root), false, budget);
-    plan.FillStats(&result.stats);
-    if (plan.build_status() != EngineStatus::kOk) {
-      result.status = plan.build_status();
-      result.error_bound = 1.0;
-      return result;
-    }
-    double value = 0.0;
-    EngineStatus st =
-        plan.ExecuteGoverned(registry, {}, ThreadScratch(), budget, &value);
-    if (st != EngineStatus::kOk) {
-      result.status = st;
-      result.error_bound = 1.0;
-      return result;
-    }
-    result.value = value;
-    return result;
-  }
   // The §4 route: materialise the observation as a gate and compute
-  // P(root ∧ obs) / P(obs) with two message-passing runs. Works on a
-  // copy — the adapter's contract is not to grow the caller's circuit.
+  // P(root ∧ obs) / P(obs) with two message-passing runs, each over a
+  // budget-gated plan (the caps apply to each run; a trip in either
+  // fails the conditional). Works on a copy — the adapter's contract is
+  // not to grow the caller's circuit.
   BoolCircuit working = circuit;
   std::vector<GateId> literals;
   literals.reserve(evidence.size());
@@ -750,46 +625,27 @@ EngineResult ConditioningEngine::EstimateImpl(const BoolCircuit& circuit,
     literals.push_back(v ? var : working.AddNot(var));
   }
   GateId observation = working.AddAnd(std::move(literals));
-  if (!governed) {
-    std::optional<double> conditional =
-        ConditionalProbability(working, root, observation, registry);
-    if (!conditional.has_value()) {
-      // A zero-probability observation has no conditional — a malformed
-      // request, not a reason to abort the process.
-      result.status = EngineStatus::kInvalidArgument;
-      result.error_bound = 1.0;
-      return result;
-    }
-    result.value = *conditional;
-    return result;
-  }
-  // Governed: the same two runs, each over a budget-gated plan (the
-  // caps apply to each run; a trip in either fails the conditional).
   GateId joint = working.AddAnd({root, observation});
   double p_obs = 0.0;
   double p_joint = 0.0;
   for (const auto& [target, out] :
        {std::pair<GateId, double*>{observation, &p_obs},
         std::pair<GateId, double*>{joint, &p_joint}}) {
-    JunctionTreePlan plan = JunctionTreePlan::Build(
-        JunctionTreeAnalysis::Analyze(working, target), false, budget);
-    if (plan.build_status() != EngineStatus::kOk) {
-      result.status = plan.build_status();
-      result.error_bound = 1.0;
-      return result;
-    }
-    EngineStatus st =
-        plan.ExecuteGoverned(registry, {}, ThreadScratch(), budget, out);
+    EngineStatus st = JunctionTreePlan::Build(working, target, budget)
+                          .ExecuteGoverned(registry, {}, ThreadScratch(),
+                                           budget, out);
     if (st != EngineStatus::kOk) {
       result.status = st;
       result.error_bound = 1.0;
       return result;
     }
-  }
-  if (p_obs == 0.0) {
-    result.status = EngineStatus::kInvalidArgument;
-    result.error_bound = 1.0;
-    return result;
+    // A zero-probability observation has no conditional — a malformed
+    // request, not a reason to abort the process.
+    if (p_obs <= 0.0) {
+      result.status = EngineStatus::kInvalidArgument;
+      result.error_bound = 1.0;
+      return result;
+    }
   }
   result.value = p_joint / p_obs;
   return result;
@@ -814,25 +670,10 @@ EngineResult SamplingEngine::EstimateImpl(const BoolCircuit& circuit,
     return p > 0.0 && p < 1.0 ? 1.96 * std::sqrt(p * (1.0 - p) / n)
                               : 3.0 / n;
   };
-  if (budget.unlimited()) {
-    result.stats.num_samples = num_samples_;
-    double p;
-    if (!evidence.empty()) {
-      auto [restricted, restricted_root] =
-          PinEvidence(circuit, root, registry, evidence);
-      p = SampleProbability(restricted, restricted_root, registry,
-                            num_samples_, rng_);
-    } else {
-      p = SampleProbability(circuit, root, registry, num_samples_, rng_);
-    }
-    result.value = p;
-    result.error_bound = bound_for(p, num_samples_);
-    return result;
-  }
-  // Governed: a sample cap lowers the target up front; a deadline or
-  // cancellation mid-loop keeps the estimate over the samples actually
-  // drawn (a degraded kOk answer with an honest bound), failing only
-  // when not a single sample completed.
+  // A sample cap lowers the target up front; a deadline or cancellation
+  // mid-loop keeps the estimate over the samples actually drawn (a
+  // degraded kOk answer with an honest bound), failing only when not a
+  // single sample completed.
   uint32_t target = num_samples_;
   if (budget.max_samples != 0) target = std::min(target, budget.max_samples);
   BudgetMeter meter(budget);
@@ -878,49 +719,12 @@ EngineResult HybridEngine::EstimateImpl(const BoolCircuit& circuit,
 EngineResult HybridEngine::EstimateWithCore(const BoolCircuit& circuit,
                                             GateId root,
                                             const EventRegistry& registry,
-                                            const std::vector<EventId>& core) {
-  return EstimateWithCore(circuit, root, registry, core, QueryBudget{});
-}
-
-EngineResult HybridEngine::EstimateWithCore(const BoolCircuit& circuit,
-                                            GateId root,
-                                            const EventRegistry& registry,
                                             const std::vector<EventId>& core,
                                             const QueryBudget& budget) {
-  const bool governed = !budget.unlimited();
   if (core.empty()) {
     // Already narrow: one exact message-passing run, no sampling.
-    EngineResult result;
-    result.engine = name();
-    if (!governed) {
-      result.value =
-          JunctionTreeProbability(circuit, root, registry, &result.stats);
-      return result;
-    }
-    JunctionTreePlan plan = JunctionTreePlan::Build(
-        JunctionTreeAnalysis::Analyze(circuit, root), false, budget);
-    plan.FillStats(&result.stats);
-    if (plan.build_status() != EngineStatus::kOk) {
-      result.status = plan.build_status();
-      result.error_bound = 1.0;
-      return result;
-    }
-    double value = 0.0;
-    EngineStatus st =
-        plan.ExecuteGoverned(registry, {}, ThreadScratch(), budget, &value);
-    if (st != EngineStatus::kOk) {
-      result.status = st;
-      result.error_bound = 1.0;
-      return result;
-    }
-    result.value = value;
-    return result;
-  }
-  if (!governed) {
-    EngineResult result =
-        HybridProbability(circuit, root, registry, core, num_samples_, rng_);
-    result.engine = name();
-    return result;
+    return EstimateWithPlan(JunctionTreePlan::Build(circuit, root, budget),
+                            name(), registry, {}, ThreadScratch(), budget);
   }
   uint32_t target = num_samples_;
   if (budget.max_samples != 0) target = std::min(target, budget.max_samples);
@@ -1006,37 +810,15 @@ EngineResult AutoEngine::Plan(const BoolCircuit& circuit, GateId root,
   JunctionTreeAnalysis analysis = JunctionTreeAnalysis::Analyze(circuit, root);
   const int width = analysis.trivial() ? 0 : analysis.MinDegreeWidth();
   if (width <= limits_.jt_max_width) {
-    if (budget.unlimited()) {
-      JunctionTreePlan plan = JunctionTreePlan::Build(
-          std::move(analysis), limits_.seed_topological);
-      EngineResult result;
-      result.engine = "junction_tree";
-      plan.FillStats(&result.stats);
-      result.value = plan.Execute(registry);
+    EngineResult result = EstimateWithPlan(
+        JunctionTreePlan::Build(std::move(analysis), budget), "junction_tree",
+        registry, {}, ThreadScratch(), budget);
+    if (result.ok() || hard_trip(result.status)) {
       return finish(std::move(result));
     }
-    JunctionTreePlan plan = JunctionTreePlan::Build(
-        std::move(analysis), limits_.seed_topological, budget);
-    EngineResult result;
-    result.engine = "junction_tree";
-    plan.FillStats(&result.stats);
-    EngineStatus st = plan.build_status();
-    if (st == EngineStatus::kOk) {
-      double value = 0.0;
-      st = plan.ExecuteGoverned(registry, {}, ThreadScratch(), budget,
-                                &value);
-      if (st == EngineStatus::kOk) {
-        result.value = value;
-        return finish(std::move(result));
-      }
-    }
-    if (hard_trip(st)) {
-      result.status = st;
-      result.error_bound = 1.0;
-      return finish(std::move(result));
-    }
-    // The exact plan priced (or ran) over the cell cap: degrade to the
-    // core/tentacle estimator, then to bounded sampling.
+    // The exact plan priced (or ran) over the cell cap, or failed to
+    // build: degrade to the core/tentacle estimator, then to bounded
+    // sampling.
     ++degradations;
   }
   std::vector<EventId> core = SelectCoreEvents(
@@ -1061,10 +843,7 @@ EngineResult AutoEngine::Plan(const BoolCircuit& circuit, GateId root,
       // Hand the selected core over: the hybrid engine would otherwise
       // repeat the whole SelectCoreEvents restrict/min-fill loop.
       EngineResult result =
-          budget.unlimited()
-              ? hybrid_.EstimateWithCore(circuit, root, registry, core)
-              : hybrid_.EstimateWithCore(circuit, root, registry, core,
-                                         budget);
+          hybrid_.EstimateWithCore(circuit, root, registry, core, budget);
       if (result.status != EngineStatus::kResourceExhausted) {
         return finish(std::move(result));
       }

@@ -119,8 +119,10 @@ class ProbabilityEngine {
   /// instead of aborting) and check the budget before dispatching to
   /// the engine's EstimateImpl; engines then check the budget at
   /// bag/iteration granularity and report trips through
-  /// EngineResult::status. The budgetless overload runs ungoverned
-  /// (unlimited budget) — the pre-existing contract, unchanged.
+  /// EngineResult::status. The budgetless overload runs the same path
+  /// under an unlimited budget: a query the engine cannot answer (a
+  /// plan too wide for exact message passing, say) is a status there
+  /// too, never an abort.
   EngineResult Estimate(const BoolCircuit& circuit, GateId root,
                         const EventRegistry& registry,
                         const Evidence& evidence = {});
@@ -182,10 +184,11 @@ class ExhaustiveEngine : public ProbabilityEngine {
 };
 
 /// Exact, by message passing over a tree decomposition of the cone (the
-/// paper's method; see JunctionTreePlan in junction_tree.h). With
-/// `seed_topological`, the decomposition is seeded from the circuit's
-/// own construction order — the right choice for DP-produced lineage
-/// circuits, whose gate order follows a tree.
+/// paper's method; see JunctionTreePlan in junction_tree.h). Every call
+/// runs one path — Build (or the cached plan), then the budgeted pass —
+/// whether or not the caller set a budget; a plan that cannot be built
+/// (too wide, or pools too large for 32-bit offsets) comes back as
+/// kResourceExhausted.
 ///
 /// With `cache_plans`, the compiled message-passing plan of each root
 /// gate is memoised, so re-estimating the same lineage (repeated
@@ -226,8 +229,7 @@ class ExhaustiveEngine : public ProbabilityEngine {
 /// see the QuerySession/ServingSession phase contract.
 class JunctionTreeEngine : public ProbabilityEngine {
  public:
-  explicit JunctionTreeEngine(bool seed_topological = false,
-                              bool cache_plans = false,
+  explicit JunctionTreeEngine(bool cache_plans = false,
                               unsigned batch_threads = 1);
   ~JunctionTreeEngine() override;
   JunctionTreeEngine(const JunctionTreeEngine&) = delete;
@@ -268,10 +270,7 @@ class JunctionTreeEngine : public ProbabilityEngine {
   /// against one append-only circuit object). Thread-safe: an atomic
   /// CAS against nullptr.
   void BindCircuit(const BoolCircuit& circuit);
-  /// The (possibly cached) single-root plan for `root`.
-  const JunctionTreePlan* PlanFor(const BoolCircuit& circuit, GateId root);
 
-  bool seed_topological_;
   bool cache_plans_;
   unsigned batch_threads_;
   std::atomic<const BoolCircuit*> bound_circuit_{nullptr};
@@ -375,17 +374,14 @@ class HybridEngine : public ProbabilityEngine {
   /// AutoEngine handoff: the planner runs SelectCoreEvents to decide
   /// whether hybrid inference is worthwhile, and hands the core over so
   /// the engine does not repeat the selection's restrict/min-fill loop.
-  EngineResult EstimateWithCore(const BoolCircuit& circuit, GateId root,
-                                const EventRegistry& registry,
-                                const std::vector<EventId>& core);
-  /// Governed variant: checks the budget per per-sample exact run; a
-  /// mid-loop trip returns the estimate over the completed samples with
-  /// an honest error bound (degraded kOk), kResourceExhausted/... only
-  /// when not a single sample finished.
+  /// The budget is checked per per-sample exact run; a mid-loop trip
+  /// returns the estimate over the completed samples with an honest
+  /// error bound (degraded kOk), kResourceExhausted/... only when not a
+  /// single sample finished.
   EngineResult EstimateWithCore(const BoolCircuit& circuit, GateId root,
                                 const EventRegistry& registry,
                                 const std::vector<EventId>& core,
-                                const QueryBudget& budget);
+                                const QueryBudget& budget = {});
   const char* name() const override { return "hybrid"; }
 
  protected:
@@ -443,11 +439,6 @@ class AutoEngine : public ProbabilityEngine {
     uint32_t hybrid_num_samples = 2000;
     uint32_t sampling_num_samples = 20000;
     uint64_t seed = 1;
-    // Off by default: the construction-order seed matches min-degree's
-    // width on lineage workloads but not its bag-size profile, and a
-    // seed accepted at the width cap skips the min-degree comparison
-    // entirely (see ROADMAP).
-    bool seed_topological = false;
   };
 
   AutoEngine() : AutoEngine(Limits{}) {}
@@ -455,9 +446,10 @@ class AutoEngine : public ProbabilityEngine {
   const char* name() const override { return "auto"; }
 
  protected:
-  /// Under a budget the ladder *degrades* instead of failing: a rung
-  /// that trips kResourceExhausted (or is priced over the table-cell
-  /// cap up front) falls through to the next cheaper rung — junction
+  /// The ladder *degrades* instead of failing: a rung that trips
+  /// kResourceExhausted (priced over the table-cell cap up front, or a
+  /// plan that cannot be built at all) falls through to the next
+  /// cheaper rung — junction
   /// tree → hybrid conditioning → budget-bounded sampling — and the
   /// result reports the engine that actually answered, an honest
   /// error_bound, and stats.degradations. Only kDeadlineExceeded /

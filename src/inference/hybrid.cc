@@ -52,34 +52,11 @@ EngineResult HybridProbability(const BoolCircuit& circuit, GateId root,
                                const EventRegistry& registry,
                                const std::vector<EventId>& core_events,
                                uint32_t num_samples, Rng& rng) {
-  TUD_CHECK_GT(num_samples, 0u);
+  BudgetMeter unlimited;
   EngineResult result;
-  result.engine = "hybrid";
-  result.stats.num_samples = num_samples;
-  double total = 0.0;
-  double total_sq = 0.0;
-  std::vector<std::optional<bool>> fixed(registry.size());
-  for (uint32_t s = 0; s < num_samples; ++s) {
-    for (EventId e : core_events) {
-      fixed[e] = rng.Bernoulli(registry.probability(e));
-    }
-    auto [restricted, restricted_root] = RestrictCircuit(circuit, root, fixed);
-    EngineStats stats;
-    double p = JunctionTreeProbability(restricted, restricted_root, registry,
-                                       &stats);
-    total += p;
-    total_sq += p * p;
-    result.stats.width = std::max(result.stats.width, stats.width);
-  }
-  result.value = total / num_samples;
-  if (num_samples > 1) {
-    // 95% half-width from the sample variance of the per-sample exact
-    // conditionals (the Rao-Blackwellised estimator's spread).
-    double variance =
-        (total_sq - total * total / num_samples) / (num_samples - 1);
-    result.error_bound =
-        1.96 * std::sqrt(std::max(variance, 0.0) / num_samples);
-  }
+  result.status = HybridProbabilityGoverned(
+      circuit, root, registry, core_events, num_samples, rng, unlimited,
+      &result);
   return result;
 }
 
@@ -105,9 +82,8 @@ EngineStatus HybridProbabilityGoverned(const BoolCircuit& circuit, GateId root,
       fixed[e] = rng.Bernoulli(registry.probability(e));
     }
     auto [restricted, restricted_root] = RestrictCircuit(circuit, root, fixed);
-    JunctionTreePlan plan = JunctionTreePlan::Build(
-        JunctionTreeAnalysis::Analyze(restricted, restricted_root), false,
-        QueryBudget{});
+    JunctionTreePlan plan =
+        JunctionTreePlan::Build(restricted, restricted_root);
     if (plan.build_status() != EngineStatus::kOk) {
       st = plan.build_status();
       break;
@@ -116,7 +92,9 @@ EngineStatus HybridProbabilityGoverned(const BoolCircuit& circuit, GateId root,
     // it up front so the cell cap trips before the arena is touched.
     st = meter.Charge(static_cast<uint64_t>(plan.total_cells()));
     if (st != EngineStatus::kOk) break;
-    double p = plan.Execute(registry);
+    double p = 0.0;
+    st = plan.ExecuteGoverned(registry, {}, nullptr, meter.budget(), &p);
+    if (st != EngineStatus::kOk) break;
     total += p;
     total_sq += p * p;
     ++done;
@@ -126,6 +104,8 @@ EngineStatus HybridProbabilityGoverned(const BoolCircuit& circuit, GateId root,
   if (done > 0) {
     result->value = total / done;
     if (done > 1) {
+      // 95% half-width from the sample variance of the per-sample exact
+      // conditionals (the Rao-Blackwellised estimator's spread).
       double variance = (total_sq - total * total / done) / (done - 1);
       result->error_bound = 1.96 * std::sqrt(std::max(variance, 0.0) / done);
     }

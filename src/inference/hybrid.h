@@ -39,6 +39,9 @@ std::pair<BoolCircuit, GateId> RestrictCircuit(
 /// passing. Returns the averaged estimate in the shared EngineResult
 /// shape: `value` is the estimate, `stats.width` the widest restricted
 /// decomposition over samples, `stats.num_samples` the sample count.
+/// The governed body below under an unlimited budget; a restricted
+/// circuit too wide for exact message passing is a kResourceExhausted
+/// status rather than an abort.
 EngineResult HybridProbability(const BoolCircuit& circuit, GateId root,
                                const EventRegistry& registry,
                                const std::vector<EventId>& core_events,

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <cstring>
 #include <memory>
-#include <numeric>
 #include <stdexcept>
 
 #include "inference/index_steps.h"
@@ -136,52 +135,34 @@ double JunctionTreeAnalysis::TableCost() {
 // ---------------------------------------------------------------------------
 
 JunctionTreePlan JunctionTreePlan::Build(const BoolCircuit& circuit,
-                                         GateId root, bool seed_topological) {
+                                         GateId root,
+                                         const QueryBudget& budget) {
   return BuildImpl(JunctionTreeAnalysis::Analyze(circuit, root),
-                   seed_topological, /*batch=*/false, nullptr);
+                   /*batch=*/false, budget);
 }
 
 JunctionTreePlan JunctionTreePlan::Build(JunctionTreeAnalysis analysis,
-                                         bool seed_topological) {
-  TUD_CHECK_EQ(analysis.roots_.size(), 1u)
-      << "single-root Build from a batch analysis; use BuildBatch";
-  return BuildImpl(std::move(analysis), seed_topological, /*batch=*/false,
-                   nullptr);
-}
-
-JunctionTreePlan JunctionTreePlan::Build(JunctionTreeAnalysis analysis,
-                                         bool seed_topological,
                                          const QueryBudget& budget) {
   TUD_CHECK_EQ(analysis.roots_.size(), 1u)
       << "single-root Build from a batch analysis; use BuildBatch";
-  return BuildImpl(std::move(analysis), seed_topological, /*batch=*/false,
-                   &budget);
+  return BuildImpl(std::move(analysis), /*batch=*/false, budget);
 }
 
 JunctionTreePlan JunctionTreePlan::BuildBatch(const BoolCircuit& circuit,
                                               const std::vector<GateId>& roots,
-                                              bool seed_topological) {
-  return BuildImpl(JunctionTreeAnalysis::AnalyzeBatch(circuit, roots),
-                   seed_topological, /*batch=*/true, nullptr);
-}
-
-JunctionTreePlan JunctionTreePlan::BuildBatch(JunctionTreeAnalysis analysis,
-                                              bool seed_topological) {
-  return BuildImpl(std::move(analysis), seed_topological, /*batch=*/true,
-                   nullptr);
-}
-
-JunctionTreePlan JunctionTreePlan::BuildBatch(JunctionTreeAnalysis analysis,
-                                              bool seed_topological,
                                               const QueryBudget& budget) {
-  return BuildImpl(std::move(analysis), seed_topological, /*batch=*/true,
-                   &budget);
+  return BuildImpl(JunctionTreeAnalysis::AnalyzeBatch(circuit, roots),
+                   /*batch=*/true, budget);
+}
+
+JunctionTreePlan JunctionTreePlan::BuildBatch(JunctionTreeAnalysis analysis,
+                                              const QueryBudget& budget) {
+  return BuildImpl(std::move(analysis), /*batch=*/true, budget);
 }
 
 JunctionTreePlan JunctionTreePlan::BuildImpl(JunctionTreeAnalysis a,
-                                             bool seed_topological,
                                              bool batch,
-                                             const QueryBudget* budget) {
+                                             const QueryBudget& budget) {
   JunctionTreePlan plan;
   plan.batch_ = batch;
   const BoolCircuit& bin = a.bin_;
@@ -248,40 +229,17 @@ JunctionTreePlan JunctionTreePlan::BuildImpl(JunctionTreeAnalysis a,
     factors.push_back(TmpFactor{kTrueTable, 0, {a.vertex_of_[a.roots_[0]]}});
   }
 
-  // 2. Tree decomposition. With `seed_topological`, first try the
-  // circuit's own construction order: dense vertex ids ascend with gate
-  // ids, so the identity order eliminates inputs before the gates that
-  // read them — for DP-produced lineage circuits this follows the tree
-  // the circuit was built along, and costs no ordering work at all.
-  // Otherwise (or when the seed comes out wide) fall back to the
-  // analysis's O(1)-per-operation bucket min-degree order — on circuit
-  // primal graphs it matches min-fill's width at a fraction of the cost
-  // — and only when that too is wide (where an extra unit of width
-  // doubles every message table) pay for min-fill and keep the
-  // narrower.
+  // 2. Tree decomposition: the analysis's O(1)-per-operation bucket
+  // min-degree order — on circuit primal graphs it matches min-fill's
+  // width at a fraction of the cost — and only when that comes out wide
+  // (where an extra unit of width doubles every message table) pay for
+  // min-fill and keep the narrower.
   constexpr int kAcceptWidth = 10;
-  std::vector<VertexId> order;
+  a.MinDegreeWidth();  // Ensures the cached min-degree order.
+  std::vector<VertexId> order = std::move(a.md_order_);
   std::vector<BagId> bag_of_vertex;
-  TreeDecomposition td;
-  bool accepted = false;
-  if (seed_topological) {
-    order.resize(n);
-    std::iota(order.begin(), order.end(), 0);
-    td = TreeDecomposition::FromEliminationOrder(a.graph_, order,
-                                                 &bag_of_vertex);
-    accepted = td.Width() <= kAcceptWidth;
-  }
-  if (!accepted) {
-    a.MinDegreeWidth();  // Ensures the cached min-degree order.
-    std::vector<BagId> md_bag_of;
-    TreeDecomposition md_td = TreeDecomposition::FromEliminationOrder(
-        a.graph_, a.md_order_, &md_bag_of);
-    if (!seed_topological || md_td.Width() < td.Width()) {
-      order = a.md_order_;
-      td = std::move(md_td);
-      bag_of_vertex = std::move(md_bag_of);
-    }
-  }
+  TreeDecomposition td =
+      TreeDecomposition::FromEliminationOrder(a.graph_, order, &bag_of_vertex);
   if (td.Width() > kAcceptWidth) {
     std::vector<VertexId> fill_order = PeeledMinFillOrder(a.graph_);
     std::vector<BagId> fill_bag_of;
@@ -312,24 +270,12 @@ JunctionTreePlan JunctionTreePlan::BuildImpl(JunctionTreeAnalysis a,
     plan.build_status_ = EngineStatus::kResourceExhausted;
     return plan;
   }
-  if (budget != nullptr) {
-    if (budget->cancelled()) {
-      plan.build_status_ = EngineStatus::kCancelled;
-      plan.build_limited_by_budget_ = true;
-      return plan;
-    }
-    if (budget->past_deadline()) {
-      plan.build_status_ = EngineStatus::kDeadlineExceeded;
-      plan.build_limited_by_budget_ = true;
-      return plan;
-    }
-    if (budget->max_table_cells != 0 &&
-        static_cast<double>(budget->max_table_cells) <
-            (batch ? 2.0 : 1.0) * plan.total_cells_) {
-      plan.build_status_ = EngineStatus::kResourceExhausted;
-      plan.build_limited_by_budget_ = true;
-      return plan;
-    }
+  const EngineStatus admitted =
+      Admit(budget, (batch ? 2.0 : 1.0) * plan.total_cells_);
+  if (admitted != EngineStatus::kOk) {
+    plan.build_status_ = admitted;
+    plan.build_limited_by_budget_ = true;
+    return plan;
   }
 
   // 3. Assign each factor to the bag of the earliest-eliminated vertex
@@ -507,11 +453,6 @@ JunctionTreePlan JunctionTreePlan::BuildImpl(JunctionTreeAnalysis a,
         bag.out_gather = make_gather(bits, bag.out_count, bag.k);
       }
     }
-
-    bag.opcode = bag.k <= 3 && bag.static_off != kNone &&
-                         (bag.k <= g_gather_max_k)
-                     ? bag.k
-                     : kOpGeneric;
   }
   TUD_CHECK(static_next == static_cells && gather_next == gather_cells &&
             pool_next == pool_bits)
@@ -592,45 +533,9 @@ JunctionTreePlan JunctionTreePlan::BuildImpl(JunctionTreeAnalysis a,
 // Execute kernels
 // ---------------------------------------------------------------------------
 
-template <int K>
-void JunctionTreePlan::ComputeBagTableK(const Bag& bag, const double* vals,
-                                        const double* arena,
-                                        double* table) const {
-  constexpr size_t kSize = size_t{1} << K;
-  const double* st = static_.data() + bag.static_off;
-  for (size_t i = 0; i < kSize; ++i) table[i] = st[i];
-  for (uint32_t vf = bag.var_begin; vf != bag.var_end; ++vf) {
-    const uint32_t bit = var_factors_[vf].bit;
-    const double v0 = vals[2 * vf];
-    const double v1 = vals[2 * vf + 1];
-    for (size_t i = 0; i < kSize; ++i) {
-      table[i] *= ((i >> bit) & 1) != 0 ? v1 : v0;
-    }
-  }
-  for (uint32_t ce = bag.child_begin; ce != bag.child_end; ++ce) {
-    const ChildEdge& edge = children_[ce];
-    const double* msg = arena + edge.msg_off;
-    const uint32_t* map = gather_.data() + edge.gather;
-    for (size_t i = 0; i < kSize; ++i) table[i] *= msg[map[i]];
-  }
-}
-
-template <int K>
-void JunctionTreePlan::UpStepK(const Bag& bag, const double* vals,
-                               double* arena) const {
-  constexpr size_t kSize = size_t{1} << K;
-  double table[kSize];
-  ComputeBagTableK<K>(bag, vals, arena, table);
-  double* out = arena + bag.up_off;
-  std::fill_n(out, size_t{1} << bag.out_count, 0.0);
-  const uint32_t* map = gather_.data() + bag.out_gather;
-  for (size_t i = 0; i < kSize; ++i) out[map[i]] += table[i];
-}
-
-void JunctionTreePlan::ComputeBagTableGeneric(const Bag& bag,
-                                              const double* vals,
-                                              const double* arena,
-                                              double* table) const {
+void JunctionTreePlan::ComputeBagTable(const Bag& bag, const double* vals,
+                                       const double* arena,
+                                       double* table) const {
   ComputeBagBase(bag, vals, table);
   for (uint32_t ce = bag.child_begin; ce != bag.child_end; ++ce) {
     MultiplyChild(bag, children_[ce], arena, table);
@@ -661,28 +566,6 @@ void JunctionTreePlan::ComputeBagBase(const Bag& bag, const double* vals,
     for (size_t i = 0; i < size; ++i) {
       table[i] *= ((i >> bit) & 1) != 0 ? v1 : v0;
     }
-  }
-}
-
-void JunctionTreePlan::ComputeBagTable(const Bag& bag, const double* vals,
-                                       const double* arena,
-                                       double* table) const {
-  switch (bag.opcode) {
-    case 0:
-      ComputeBagTableK<0>(bag, vals, arena, table);
-      break;
-    case 1:
-      ComputeBagTableK<1>(bag, vals, arena, table);
-      break;
-    case 2:
-      ComputeBagTableK<2>(bag, vals, arena, table);
-      break;
-    case 3:
-      ComputeBagTableK<3>(bag, vals, arena, table);
-      break;
-    default:
-      ComputeBagTableGeneric(bag, vals, arena, table);
-      break;
   }
 }
 
@@ -734,33 +617,27 @@ void JunctionTreePlan::ResolveVarValues(const EventRegistry& registry,
   }
 }
 
-double JunctionTreePlan::Execute(const EventRegistry& registry,
-                                 const Evidence& evidence) const {
-  return Execute(registry, evidence, nullptr);
+EngineStatus JunctionTreePlan::Admit(const QueryBudget& budget,
+                                     double cells) {
+  // The cap is an OOM guard, not just a progress meter: a pass whose
+  // table work cannot fit is refused before its arena exists.
+  if (budget.max_table_cells != 0 &&
+      static_cast<double>(budget.max_table_cells) < cells) {
+    return EngineStatus::kResourceExhausted;
+  }
+  if (budget.cancelled()) return EngineStatus::kCancelled;
+  if (budget.past_deadline()) return EngineStatus::kDeadlineExceeded;
+  return EngineStatus::kOk;
 }
 
-double JunctionTreePlan::Execute(const EventRegistry& registry,
-                                 const Evidence& evidence,
-                                 PlanScratch* scratch) const {
-  if (trivial_) return trivial_value_;
-  TUD_CHECK(build_status_ == EngineStatus::kOk)
-      << "Execute on a failed plan (" << EngineStatusName(build_status_)
-      << "); use ExecuteGoverned for a recoverable status";
-  TUD_CHECK(!batch_) << "single-root Execute on a batch plan";
-
-  // One bottom-up sum-product pass over the arena. With a caller
-  // scratch the arena allocation is amortised away entirely — the
-  // serving workers' steady state.
-  std::unique_ptr<double[]> owned;
-  double* arena;
-  if (scratch != nullptr) {
-    arena = scratch->Acquire(arena_size_);
-  } else {
-    if (fault::ShouldFailAllocation()) throw std::bad_alloc();
-    owned.reset(new double[arena_size_]);
-    arena = owned.get();
-  }
-  return ExecuteOnArena(registry, evidence, arena);
+double* JunctionTreePlan::AcquireArena(
+    PlanScratch* scratch, std::unique_ptr<double[]>* owned) const {
+  // With a caller scratch the arena allocation is amortised away
+  // entirely — the serving workers' steady state.
+  if (scratch != nullptr) return scratch->Acquire(arena_size_);
+  if (fault::ShouldFailAllocation()) throw std::bad_alloc();
+  owned->reset(new double[arena_size_]);
+  return owned->get();
 }
 
 EngineStatus JunctionTreePlan::ExecuteGoverned(const EventRegistry& registry,
@@ -774,33 +651,21 @@ EngineStatus JunctionTreePlan::ExecuteGoverned(const EventRegistry& registry,
     return EngineStatus::kOk;
   }
   TUD_CHECK(!batch_) << "single-root ExecuteGoverned on a batch plan";
-
-  // Pre-admission: refuse a pass whose table work cannot fit the cap
-  // before the arena is even acquired — the cap is an OOM guard, not
-  // just a progress meter.
-  if (budget.max_table_cells != 0 &&
-      static_cast<double>(budget.max_table_cells) < total_cells_) {
-    return EngineStatus::kResourceExhausted;
-  }
-  if (budget.cancelled()) return EngineStatus::kCancelled;
-  if (budget.past_deadline()) return EngineStatus::kDeadlineExceeded;
-
+  const EngineStatus admitted = Admit(budget, total_cells_);
+  if (admitted != EngineStatus::kOk) return admitted;
   std::unique_ptr<double[]> owned;
-  double* arena;
-  if (scratch != nullptr) {
-    arena = scratch->Acquire(arena_size_);
-  } else {
-    if (fault::ShouldFailAllocation()) throw std::bad_alloc();
-    owned.reset(new double[arena_size_]);
-    arena = owned.get();
-  }
+  double* arena = AcquireArena(scratch, &owned);
   BudgetMeter meter(budget);
-  return ExecuteGovernedOnArena(registry, evidence, arena, meter, value);
+  return UpwardPass(registry, evidence, arena, meter, value);
 }
 
-EngineStatus JunctionTreePlan::ExecuteGovernedOnArena(
-    const EventRegistry& registry, const Evidence& evidence, double* arena,
-    BudgetMeter& meter, double* value) const {
+EngineStatus JunctionTreePlan::UpwardPass(const EventRegistry& registry,
+                                          const Evidence& evidence,
+                                          double* arena, BudgetMeter& meter,
+                                          double* value) const {
+  // Children have larger BagIds than parents, so descending id order is
+  // bottom-up; the scratch table region is reused across the (many,
+  // mostly tiny) bags.
   double* vals = arena + vals_off_;
   ResolveVarValues(registry, evidence, vals);
   for (uint32_t b = static_cast<uint32_t>(bags_.size()); b-- > 0;) {
@@ -820,77 +685,23 @@ EngineStatus JunctionTreePlan::ExecuteGovernedOnArena(
 
 double JunctionTreePlan::UpStep(const Bag& bag, const double* vals,
                                 double* arena) const {
+  double* table = arena + scratch_off_;
+  ComputeBagTable(bag, vals, arena, table);
   if (!bag.is_root) {
-    // Fused small-bag kernels: table build plus marginalisation in one
-    // step, every trip count a compile-time constant.
-    switch (bag.opcode) {
-      case 0:
-        UpStepK<0>(bag, vals, arena);
-        return 0.0;
-      case 1:
-        UpStepK<1>(bag, vals, arena);
-        return 0.0;
-      case 2:
-        UpStepK<2>(bag, vals, arena);
-        return 0.0;
-      case 3:
-        UpStepK<3>(bag, vals, arena);
-        return 0.0;
-      default:
-        break;
-    }
-    double* table = arena + scratch_off_;
-    ComputeBagTableGeneric(bag, vals, arena, table);
     MarginalizeOut(bag, table, arena + bag.up_off);
     return 0.0;
   }
-  double* table = arena + scratch_off_;
-  ComputeBagTable(bag, vals, arena, table);
   double total = 0.0;
   const size_t size = size_t{1} << bag.k;
   for (size_t i = 0; i < size; ++i) total += table[i];
   return total;
 }
 
-double JunctionTreePlan::ExecuteOnArena(const EventRegistry& registry,
-                                        const Evidence& evidence,
-                                        double* arena) const {
-  // Children have larger BagIds than parents, so descending id order is
-  // bottom-up; the scratch table region is reused across the (many,
-  // mostly tiny) bags.
-  double* vals = arena + vals_off_;
-  ResolveVarValues(registry, evidence, vals);
-  for (uint32_t b = static_cast<uint32_t>(bags_.size()); b-- > 0;) {
-    const Bag& bag = bags_[b];
-    const double total = UpStep(bag, vals, arena);
-    if (bag.is_root) return total;
-  }
-  TUD_CHECK(false) << "tree decomposition had no root bag";
-  return 0.0;
-}
-
-double JunctionTreePlan::ExecuteDelta(const EventRegistry& registry,
-                                      const Evidence& evidence,
-                                      const std::vector<EventId>& dirty_events,
-                                      PlanDeltaState& state, EngineStats* stats,
-                                      double full_fraction) const {
-  if (!trivial_) {
-    TUD_CHECK(build_status_ == EngineStatus::kOk)
-        << "ExecuteDelta on a failed plan ("
-        << EngineStatusName(build_status_)
-        << "); use ExecuteDeltaGoverned for a recoverable status";
-  }
-  double value = 0.0;
-  ExecuteDeltaImpl(registry, evidence, dirty_events, state, stats,
-                   full_fraction, nullptr, &value);
-  return value;
-}
-
-EngineStatus JunctionTreePlan::ExecuteDeltaGoverned(
+EngineStatus JunctionTreePlan::ExecuteDelta(
     const EventRegistry& registry, const Evidence& evidence,
     const std::vector<EventId>& dirty_events, PlanDeltaState& state,
-    const QueryBudget& budget, double* value, EngineStats* stats,
-    double full_fraction) const {
+    double* value, EngineStats* stats, double full_fraction,
+    const QueryBudget& budget) const {
   // Every non-kOk return must poison the stored pass: the caller has
   // typically consumed its dirty marks already (the incremental session
   // advances its cursor before executing), so a surviving `valid` arena
@@ -899,40 +710,21 @@ EngineStatus JunctionTreePlan::ExecuteDeltaGoverned(
     state.valid = false;
     return build_status_;
   }
-  if (!trivial_) {
-    // The delta path may recompute fewer cells than a full pass, but
-    // the persistent state arena holds the *whole* pass either way, so
-    // the cap is checked against the full table count.
-    if (budget.max_table_cells != 0 &&
-        static_cast<double>(budget.max_table_cells) < total_cells_) {
-      state.valid = false;
-      return EngineStatus::kResourceExhausted;
-    }
-    if (budget.cancelled()) {
-      state.valid = false;
-      return EngineStatus::kCancelled;
-    }
-    if (budget.past_deadline()) {
-      state.valid = false;
-      return EngineStatus::kDeadlineExceeded;
-    }
-  }
-  BudgetMeter meter(budget);
-  return ExecuteDeltaImpl(registry, evidence, dirty_events, state, stats,
-                          full_fraction, &meter, value);
-}
-
-EngineStatus JunctionTreePlan::ExecuteDeltaImpl(
-    const EventRegistry& registry, const Evidence& evidence,
-    const std::vector<EventId>& dirty_events, PlanDeltaState& state,
-    EngineStats* stats, double full_fraction, BudgetMeter* meter,
-    double* value) const {
   if (trivial_) {
     if (stats != nullptr) FillStats(stats);
     *value = trivial_value_;
     return EngineStatus::kOk;
   }
   TUD_CHECK(!batch_) << "ExecuteDelta on a batch plan";
+  // The delta path may recompute fewer cells than a full pass, but the
+  // persistent state arena holds the *whole* pass either way, so the cap
+  // is checked against the full table count.
+  const EngineStatus admitted = Admit(budget, total_cells_);
+  if (admitted != EngineStatus::kOk) {
+    state.valid = false;
+    return admitted;
+  }
+  BudgetMeter meter(budget);
 
   bool full = !state.valid || state.arena.size() != arena_size_ ||
               state.evidence != evidence;
@@ -1002,26 +794,20 @@ EngineStatus JunctionTreePlan::ExecuteDeltaImpl(
       // result is too.
       for (uint32_t b = static_cast<uint32_t>(bags_.size()); b-- > 0;) {
         const Bag& bag = bags_[b];
-        if (state.dirty_bags[b] != 0 && meter != nullptr) {
+        if (state.dirty_bags[b] != 0) {
           fault::MaybeDelayBag();
-          const EngineStatus st = meter->Charge(uint64_t{1} << bag.k);
+          const EngineStatus st = meter.Charge(uint64_t{1} << bag.k);
           if (st != EngineStatus::kOk) {
             // The arena now mixes refreshed values with stale messages:
             // poison the state so the next call runs a full pass.
             state.valid = false;
             return st;
           }
+          const double total = UpStep(bag, vals, arena);
+          ++recomputed;
+          if (bag.is_root) state.result = total;
         }
-        if (bag.is_root) {
-          if (state.dirty_bags[b] != 0) {
-            state.result = UpStep(bag, vals, arena);
-            ++recomputed;
-          }
-          break;
-        }
-        if (state.dirty_bags[b] == 0) continue;
-        UpStep(bag, vals, arena);
-        ++recomputed;
+        if (bag.is_root) break;
       }
       ++state.delta_passes;
       state.bags_recomputed += recomputed;
@@ -1035,14 +821,10 @@ EngineStatus JunctionTreePlan::ExecuteDeltaImpl(
   }
 
   state.arena.resize(arena_size_);
-  if (meter != nullptr) {
-    state.valid = false;  // Invalid until the governed pass completes.
-    const EngineStatus st = ExecuteGovernedOnArena(
-        registry, evidence, state.arena.data(), *meter, &state.result);
-    if (st != EngineStatus::kOk) return st;
-  } else {
-    state.result = ExecuteOnArena(registry, evidence, state.arena.data());
-  }
+  state.valid = false;  // Invalid until the pass completes.
+  const EngineStatus st = UpwardPass(registry, evidence, state.arena.data(),
+                                     meter, &state.result);
+  if (st != EngineStatus::kOk) return st;
   state.evidence = evidence;
   state.valid = true;
   ++state.full_passes;
@@ -1051,56 +833,24 @@ EngineStatus JunctionTreePlan::ExecuteDeltaImpl(
   return EngineStatus::kOk;
 }
 
-std::vector<double> JunctionTreePlan::ExecuteBatch(
-    const EventRegistry& registry, const Evidence& evidence,
-    EngineStats* stats, PlanScratch* scratch) const {
-  if (!trivial_) {
-    TUD_CHECK(build_status_ == EngineStatus::kOk)
-        << "ExecuteBatch on a failed plan ("
-        << EngineStatusName(build_status_)
-        << "); use ExecuteBatchGoverned for a recoverable status";
-  }
-  std::vector<double> result;
-  ExecuteBatchImpl(registry, evidence, stats, scratch, nullptr, &result);
-  return result;
-}
-
-EngineStatus JunctionTreePlan::ExecuteBatchGoverned(
-    const EventRegistry& registry, const Evidence& evidence,
-    PlanScratch* scratch, const QueryBudget& budget,
-    std::vector<double>* values, EngineStats* stats) const {
+EngineStatus JunctionTreePlan::ExecuteBatch(const EventRegistry& registry,
+                                            const Evidence& evidence,
+                                            std::vector<double>* values,
+                                            EngineStats* stats,
+                                            PlanScratch* scratch,
+                                            const QueryBudget& budget) const {
   if (build_status_ != EngineStatus::kOk) return build_status_;
-  if (!trivial_) {
-    // Calibration is an upward and a (pruned) downward pass: admit only
-    // if twice the table count fits the cap, before touching the arena.
-    if (budget.max_table_cells != 0 &&
-        static_cast<double>(budget.max_table_cells) < 2.0 * total_cells_) {
-      return EngineStatus::kResourceExhausted;
-    }
-    if (budget.cancelled()) return EngineStatus::kCancelled;
-    if (budget.past_deadline()) return EngineStatus::kDeadlineExceeded;
-  }
-  BudgetMeter meter(budget);
-  return ExecuteBatchImpl(registry, evidence, stats, scratch, &meter, values);
-}
-
-EngineStatus JunctionTreePlan::ExecuteBatchImpl(
-    const EventRegistry& registry, const Evidence& evidence,
-    EngineStats* stats, PlanScratch* scratch, BudgetMeter* meter,
-    std::vector<double>* values) const {
   TUD_CHECK(batch_) << "ExecuteBatch requires a BuildBatch plan";
   std::vector<double> result(query_roots_.size(), 0.0);
   size_t visited = 0;
   if (!trivial_) {
+    // Calibration is an upward and a (pruned) downward pass: admit only
+    // if twice the table count fits the cap, before touching the arena.
+    const EngineStatus admitted = Admit(budget, 2.0 * total_cells_);
+    if (admitted != EngineStatus::kOk) return admitted;
+    BudgetMeter meter(budget);
     std::unique_ptr<double[]> owned;
-    double* arena;
-    if (scratch != nullptr) {
-      arena = scratch->Acquire(arena_size_);
-    } else {
-      if (fault::ShouldFailAllocation()) throw std::bad_alloc();
-      owned.reset(new double[arena_size_]);
-      arena = owned.get();
-    }
+    double* arena = AcquireArena(scratch, &owned);
     double* vals = arena + vals_off_;
     ResolveVarValues(registry, evidence, vals);
     double* base = arena + scratch_off_;
@@ -1109,30 +859,10 @@ EngineStatus JunctionTreePlan::ExecuteBatchImpl(
     // Upward (collect) pass; query bags keep their full table.
     for (uint32_t b = static_cast<uint32_t>(bags_.size()); b-- > 0;) {
       const Bag& bag = bags_[b];
-      if (meter != nullptr) {
-        fault::MaybeDelayBag();
-        const EngineStatus st = meter->Charge(uint64_t{1} << bag.k);
-        if (st != EngineStatus::kOk) return st;
-      }
+      fault::MaybeDelayBag();
+      const EngineStatus st = meter.Charge(uint64_t{1} << bag.k);
+      if (st != EngineStatus::kOk) return st;
       ++visited;
-      if (!bag.is_root && bag.table_off == kNone) {
-        switch (bag.opcode) {
-          case 0:
-            UpStepK<0>(bag, vals, arena);
-            continue;
-          case 1:
-            UpStepK<1>(bag, vals, arena);
-            continue;
-          case 2:
-            UpStepK<2>(bag, vals, arena);
-            continue;
-          case 3:
-            UpStepK<3>(bag, vals, arena);
-            continue;
-          default:
-            break;
-        }
-      }
       double* table =
           bag.table_off != kNone ? arena + bag.table_off : base;
       ComputeBagTable(bag, vals, arena, table);
@@ -1152,11 +882,9 @@ EngineStatus JunctionTreePlan::ExecuteBatchImpl(
         any = bags_[children_[ce].child].subtree_has_query;
       }
       if (!any) continue;
-      if (meter != nullptr) {
-        fault::MaybeDelayBag();
-        const EngineStatus st = meter->Charge(uint64_t{1} << bag.k);
-        if (st != EngineStatus::kOk) return st;
-      }
+      fault::MaybeDelayBag();
+      const EngineStatus st = meter.Charge(uint64_t{1} << bag.k);
+      if (st != EngineStatus::kOk) return st;
       ComputeBagBase(bag, vals, base);
       if (bag.down_off != kNone) {
         ApplyDown(bag, arena + bag.down_off, base);
@@ -1282,12 +1010,7 @@ void JunctionTreePlan::FillStats(EngineStats* stats) const {
   stats->bags_visited = bags_.size();
 }
 
-void JunctionTreePlan::ForceGenericKernelsForTest() {
-  for (Bag& bag : bags_) bag.opcode = kOpGeneric;
-}
-
 void JunctionTreePlan::ForceBitLoopsForTest() {
-  ForceGenericKernelsForTest();
   for (Bag& bag : bags_) bag.out_gather = kNone;
   for (ChildEdge& edge : children_) edge.gather = kNone;
 }
@@ -1324,7 +1047,7 @@ const JunctionTreePlan* ConcurrentPlanCache::Lookup(GateId root) const {
 }
 
 const JunctionTreePlan* ConcurrentPlanCache::GetOrBuild(
-    const BoolCircuit& circuit, GateId root, const QueryBudget* budget) {
+    const BoolCircuit& circuit, GateId root, const QueryBudget& budget) {
   TUD_CHECK_LT(root, circuit.NumGates());
   Shard& shard = ShardFor(root);
 
@@ -1391,11 +1114,7 @@ const JunctionTreePlan* ConcurrentPlanCache::GetOrBuild(
   std::shared_ptr<const JunctionTreePlan> plan;
   try {
     plan = std::make_shared<const JunctionTreePlan>(
-        budget != nullptr
-            ? JunctionTreePlan::Build(
-                  JunctionTreeAnalysis::Analyze(circuit, root),
-                  seed_topological_, *budget)
-            : JunctionTreePlan::Build(circuit, root, seed_topological_));
+        JunctionTreePlan::Build(circuit, root, budget));
   } catch (...) {
     {
       std::lock_guard<std::mutex> lock(shard.write_mu);
@@ -1480,12 +1199,24 @@ size_t ConcurrentPlanCache::size() const {
 // One-shot conveniences
 // ---------------------------------------------------------------------------
 
+EngineResult EstimateWithPlan(const JunctionTreePlan& plan, const char* engine,
+                              const EventRegistry& registry,
+                              const Evidence& evidence, PlanScratch* scratch,
+                              const QueryBudget& budget) {
+  EngineResult result;
+  result.engine = engine;
+  plan.FillStats(&result.stats);
+  result.status =
+      plan.ExecuteGoverned(registry, evidence, scratch, budget, &result.value);
+  if (!result.ok()) result.error_bound = 1.0;
+  return result;
+}
+
 double JunctionTreeProbability(const BoolCircuit& circuit, GateId root,
                                const EventRegistry& registry,
                                EngineStats* stats) {
-  JunctionTreePlan plan = JunctionTreePlan::Build(circuit, root);
-  plan.FillStats(stats);
-  return plan.Execute(registry);
+  return JunctionTreeProbabilityWithEvidence(circuit, root, registry, {},
+                                             stats);
 }
 
 double JunctionTreeProbabilityWithEvidence(const BoolCircuit& circuit,
@@ -1494,16 +1225,6 @@ double JunctionTreeProbabilityWithEvidence(const BoolCircuit& circuit,
                                            const Evidence& evidence,
                                            EngineStats* stats) {
   JunctionTreePlan plan = JunctionTreePlan::Build(circuit, root);
-  plan.FillStats(stats);
-  return plan.Execute(registry, evidence);
-}
-
-double JunctionTreeProbabilitySeeded(const BoolCircuit& circuit, GateId root,
-                                     const EventRegistry& registry,
-                                     const Evidence& evidence,
-                                     EngineStats* stats) {
-  JunctionTreePlan plan =
-      JunctionTreePlan::Build(circuit, root, /*seed_topological=*/true);
   plan.FillStats(stats);
   return plan.Execute(registry, evidence);
 }

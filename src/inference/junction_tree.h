@@ -16,6 +16,7 @@
 #include "inference/engine.h"
 #include "treedec/graph.h"
 #include "util/budget.h"
+#include "util/check.h"
 #include "util/fault_injection.h"
 
 namespace tud {
@@ -102,9 +103,9 @@ class JunctionTreeAnalysis {
   /// Σ 2^|bag| over the decomposition the min-degree order derives: the
   /// table-entry count of one message pass, the batch planner's cost
   /// unit (computed alongside MinDegreeWidth, so probing both costs one
-  /// sweep). An estimate: Build may fall back to min-fill (or accept a
-  /// topological seed) when min-degree comes out wide, in which case the
-  /// executed plan's profile differs — the cost model only needs
+  /// sweep). An estimate: Build may fall back to min-fill when
+  /// min-degree comes out wide, in which case the executed plan's
+  /// profile differs — the cost model only needs
   /// relative magnitudes, where the min-degree profile is a faithful
   /// proxy. 0 for trivial analyses.
   double TableCost();
@@ -139,80 +140,71 @@ class JunctionTreeAnalysis {
 ///
 /// Build() does everything query-shape-dependent exactly once: extract
 /// the cone of `root`, binarise it, tree-decompose its primal graph
-/// (min-degree with a min-fill fallback, or seeded from the circuit's
-/// construction order), and lower every bag to a flat program: the
-/// constant gate factors (And/Or/Not/True) of a bag are pre-fused into
-/// one static table, child-message and marginalisation index maps are
-/// expanded into precomputed gather tables, and all message storage is
-/// laid out in one contiguous arena sized at build time. Lowering costs
-/// O(1) per table cell: every index map is swept with the one-XOR-per-
-/// cell IndexSteps recurrence (index_steps.h), and the static, gather
-/// and bit-position pools are sized exactly from the bag sizes and
-/// child counts before any bag is lowered (pools that would overflow
-/// their 32-bit offsets fail the plan with kResourceExhausted). Bags
-/// wider than 16 keep no 2^k precomputation; their Execute loops run
-/// the same recurrence over the raw bit positions instead. Execute()
-/// reruns only the numeric bottom-up sum-product pass — a single arena
-/// allocation, a memcpy of each bag's static table, and multiplies of
-/// the variable (event) factors and child messages, dispatched to
-/// unrolled kernels for the many tiny bags (k <= 3) via a per-bag
-/// opcode.
+/// (min-degree with a min-fill fallback), and lower every bag to a flat
+/// program: the constant gate factors (And/Or/Not/True) of a bag are
+/// pre-fused into one static table, child-message and marginalisation
+/// index maps are expanded into precomputed gather tables, and all
+/// message storage is laid out in one contiguous arena sized at build
+/// time. Lowering costs O(1) per table cell: every index map is swept
+/// with the one-XOR-per-cell IndexSteps recurrence (index_steps.h), and
+/// the static, gather and bit-position pools are sized exactly from the
+/// bag sizes and child counts before any bag is lowered (pools that
+/// would overflow their 32-bit offsets fail the plan with
+/// kResourceExhausted). Bags wider than 16 keep no 2^k precomputation;
+/// their loops run the same recurrence over the raw bit positions
+/// instead. The numeric pass reruns only the bottom-up sum-product: a
+/// single arena allocation, a memcpy of each bag's static table, and
+/// multiplies of the variable (event) factors and child messages — one
+/// kernel per step for every bag size.
 ///
-/// BuildBatch()/ExecuteBatch() answer a *set* of lineage roots over one
-/// shared decomposition of the union cone: a calibrating upward +
-/// (pruned) downward pass computes every root's marginal in two sweeps
-/// instead of one full pass per root.
+/// Each mode has exactly one entry point, and every one of them takes a
+/// QueryBudget (unlimited by default) and returns an EngineStatus:
+/// ExecuteGoverned for one root, ExecuteBatch for the roots of a
+/// BuildBatch plan (one calibrating upward + pruned downward pass over
+/// the shared decomposition of the union cone), ExecuteDelta for the
+/// dirty-bag repropagation of the incremental layer. The budget meters
+/// the same pass; it is not a second algorithm.
 ///
 /// Cost O(2^{w+1}) per bag: PTIME whenever the lineage has bounded
 /// treewidth, which Theorems 1-2 guarantee for bounded-treewidth
 /// instances. Bags are capped at 26 vertices — beyond that the plan is
-/// built *failed* (build_status() = kResourceExhausted): the governed
-/// Execute entry points report it as a status, the legacy ones abort,
-/// and callers (AutoEngine) fall back to conditioning or sampling.
+/// built *failed* (build_status() = kResourceExhausted): every Execute
+/// entry point reports it as a status, and callers (AutoEngine) fall
+/// back to conditioning or sampling.
 class JunctionTreePlan {
  public:
-  /// Compiles the cone of `root`. With `seed_topological`, the
-  /// elimination order is seeded from the circuit's own construction
-  /// order (gates are append-only, so ascending id is a topological,
-  /// inputs-first order that follows the tree structure DP-produced
-  /// lineage circuits were built along — ROADMAP item (a)); the generic
-  /// heuristics remain the fallback whenever the seed comes out wide.
+  /// Compiles the cone of `root`. Instead of aborting on a
+  /// decomposition too wide for exact message passing, the returned
+  /// plan carries a non-kOk build_status() (kResourceExhausted) and
+  /// refuses to Execute. With a table-cell cap in `budget`, a
+  /// decomposition whose Σ 2^|bag| would exceed the cap is likewise
+  /// refused *before* any table is allocated — the OOM-prevention
+  /// contract: one adversarial query never gets to reserve its arena.
+  /// Budget-induced refusals are distinguishable from intrinsic ones via
+  /// build_limited_by_budget().
   static JunctionTreePlan Build(const BoolCircuit& circuit, GateId root,
-                                bool seed_topological = false);
+                                const QueryBudget& budget = {});
 
   /// As above from a precomputed analysis (the AutoEngine handoff: the
   /// planner's width estimate already did the cone/graph/order work).
   static JunctionTreePlan Build(JunctionTreeAnalysis analysis,
-                                bool seed_topological = false);
+                                const QueryBudget& budget = {});
 
   /// Compiles one shared plan answering every root in `roots` (per-root
-  /// marginals over the union cone's decomposition).
+  /// marginals over the union cone's decomposition). The budget's cell
+  /// cap is checked against 2 x Σ 2^|bag| (an upward and a downward
+  /// pass).
   static JunctionTreePlan BuildBatch(const BoolCircuit& circuit,
                                      const std::vector<GateId>& roots,
-                                     bool seed_topological = false);
+                                     const QueryBudget& budget = {});
   static JunctionTreePlan BuildBatch(JunctionTreeAnalysis analysis,
-                                     bool seed_topological = false);
-
-  /// Governed Build: instead of aborting on a decomposition too wide
-  /// for exact message passing, the returned plan carries a non-kOk
-  /// build_status() (kResourceExhausted) and refuses to Execute. With a
-  /// table-cell cap in `budget`, a decomposition whose Σ 2^|bag| would
-  /// exceed the cap is likewise refused *before* any table is allocated
-  /// — the OOM-prevention contract: one adversarial query never gets to
-  /// reserve its arena. Budget-induced refusals are distinguishable
-  /// from intrinsic ones via build_limited_by_budget().
-  static JunctionTreePlan Build(JunctionTreeAnalysis analysis,
-                                bool seed_topological,
-                                const QueryBudget& budget);
-  static JunctionTreePlan BuildBatch(JunctionTreeAnalysis analysis,
-                                     bool seed_topological,
-                                     const QueryBudget& budget);
+                                     const QueryBudget& budget = {});
 
   /// kOk, or why the plan is unusable: kResourceExhausted (too wide for
-  /// exact message passing, or over the build budget's cell cap),
-  /// kDeadlineExceeded / kCancelled (budget tripped during Build). The
-  /// ungoverned Execute entry points abort on a failed plan; the
-  /// governed ones return this status.
+  /// exact message passing, over the build budget's cell cap, or pools
+  /// too large for 32-bit offsets), kDeadlineExceeded / kCancelled
+  /// (budget tripped during Build). Every Execute entry point returns
+  /// this status on a failed plan.
   EngineStatus build_status() const { return build_status_; }
   /// True when build_status() != kOk was caused by the caller's budget
   /// rather than the plan's intrinsic width — the cache must not
@@ -222,30 +214,56 @@ class JunctionTreePlan {
   /// message pass, what a budget's max_table_cells is charged against.
   double total_cells() const { return total_cells_; }
 
-  /// P(root = true | evidence): events listed in `evidence` are pinned
-  /// to the given truth value and contribute no probability weight.
-  /// Single-root plans only. Thread-safe (all mutable state lives in a
-  /// per-call arena), so independent cached plans may Execute in
-  /// parallel.
-  double Execute(const EventRegistry& registry,
-                 const Evidence& evidence = {}) const;
+  /// P(root = true | evidence) of a single-root plan: events listed in
+  /// `evidence` are pinned to the given truth value and contribute no
+  /// probability weight. The pass charges `budget` at bag granularity
+  /// (one BudgetMeter::Charge of 2^k cells per bag, so deadline slack is
+  /// bounded by one bag's work; an unlimited budget costs one predicted
+  /// branch per bag). A table-cell cap is enforced *before* the arena is
+  /// touched — total_cells() over the cap returns kResourceExhausted
+  /// with zero allocation. On kOk, `*value` holds the root marginal; on
+  /// any other status (a failed plan, a budget trip) `*value` is
+  /// untouched.
+  ///
+  /// `scratch` is a caller-provided arena (grown on demand, reused
+  /// across calls): the steady-state serving hot path, one pass with
+  /// zero allocations. It must not be shared by concurrent calls;
+  /// nullptr falls back to a per-call allocation. Thread-safe otherwise
+  /// (all mutable state lives in the arena), so independent cached
+  /// plans may execute in parallel.
+  EngineStatus ExecuteGoverned(const EventRegistry& registry,
+                               const Evidence& evidence, PlanScratch* scratch,
+                               const QueryBudget& budget,
+                               double* value) const;
 
-  /// As above with a caller-provided scratch arena (grown on demand,
-  /// reused across calls): the steady-state serving hot path, one
-  /// Execute with zero allocations. `scratch` must not be shared by
-  /// concurrent calls; nullptr falls back to a per-call allocation.
-  double Execute(const EventRegistry& registry, const Evidence& evidence,
-                 PlanScratch* scratch) const;
+  /// ExecuteGoverned under an unlimited budget, aborting on a failed
+  /// plan: a convenience for tests and benchmarks, which build plans
+  /// they know to be healthy. Library paths use ExecuteGoverned.
+  double Execute(const EventRegistry& registry, const Evidence& evidence = {},
+                 PlanScratch* scratch = nullptr) const {
+    double value = 0.0;
+    const EngineStatus st =
+        ExecuteGoverned(registry, evidence, scratch, QueryBudget{}, &value);
+    TUD_CHECK(st == EngineStatus::kOk)
+        << "Execute on a failed plan (" << EngineStatusName(st)
+        << "); use ExecuteGoverned for a recoverable status";
+    return value;
+  }
 
   /// P(root_i = true | evidence) for every root of a BuildBatch plan,
   /// in one calibrating up+down pass (the downward pass is pruned to
-  /// the subtrees that contain query bags). If `stats` is non-null its
-  /// batch fields (batch_size, bags_visited, max_table) are filled with
-  /// the actual execution counts.
-  std::vector<double> ExecuteBatch(const EventRegistry& registry,
-                                   const Evidence& evidence = {},
-                                   EngineStats* stats = nullptr,
-                                   PlanScratch* scratch = nullptr) const;
+  /// the subtrees that contain query bags), charged per bag against
+  /// `budget`. The pre-admission cap check uses 2 x total_cells(). On
+  /// kOk, `*values` holds every root's marginal and, if `stats` is
+  /// non-null, its batch fields (batch_size, bags_visited, max_table)
+  /// receive the actual execution counts; on any other status both are
+  /// untouched.
+  EngineStatus ExecuteBatch(const EventRegistry& registry,
+                            const Evidence& evidence,
+                            std::vector<double>* values,
+                            EngineStats* stats = nullptr,
+                            PlanScratch* scratch = nullptr,
+                            const QueryBudget& budget = {}) const;
 
   /// Incremental re-evaluation after probability updates — the dirty-bag
   /// repropagation path of the maintenance subsystem (incremental/).
@@ -256,56 +274,33 @@ class JunctionTreePlan {
   /// on a dirty event, plus the bags on their paths to the root (the
   /// per-plan bag -> parent index built at Build time), are recomputed;
   /// every other bag's upward message is reused from `state`. The
-  /// recomputed bags run the exact same kernels as Execute, so the
-  /// result is bit-identical to a full Execute under the current
+  /// recomputed bags run the exact same kernels as ExecuteGoverned, so
+  /// the result is bit-identical to a full pass under the current
   /// registry. Falls back to one full pass when `state` is cold, the
   /// evidence differs from the state's, or the dirty frontier exceeds
   /// `full_fraction` of the bags (repropagating most of the tree
   /// piecemeal would cost more than one clean sweep).
   ///
+  /// Every recomputed bag is charged against `budget`; the cap is
+  /// checked against the full table count, since the state arena holds
+  /// the whole pass either way. Any non-kOk return (a failed plan, a
+  /// budget trip mid-repropagation) leaves `state` *invalid* — the
+  /// arena may mix old and new messages, and the caller has usually
+  /// consumed its dirty marks — so the next call runs a full pass;
+  /// correctness is never traded for the partial work. On kOk, `*value`
+  /// holds the root marginal.
+  ///
   /// Single-root plans only. `state` is owned by the caller and must not
   /// be shared across threads; the plan itself stays const and may be
   /// shared. If `stats` is non-null, bags_visited receives the number of
   /// bags actually recomputed.
-  double ExecuteDelta(const EventRegistry& registry, const Evidence& evidence,
-                      const std::vector<EventId>& dirty_events,
-                      PlanDeltaState& state, EngineStats* stats = nullptr,
-                      double full_fraction = 0.5) const;
-
-  /// Governed Execute: checks `budget` at bag granularity (one
-  /// BudgetMeter::Charge of 2^k cells per bag, so deadline slack is
-  /// bounded by one bag's work) and returns a structured status instead
-  /// of aborting. A table-cell cap is enforced *before* the arena is
-  /// touched — total_cells() over the cap returns kResourceExhausted
-  /// with zero allocation. On kOk, `*value` holds the root marginal;
-  /// on any other status `*value` is untouched.
-  EngineStatus ExecuteGoverned(const EventRegistry& registry,
-                               const Evidence& evidence, PlanScratch* scratch,
-                               const QueryBudget& budget,
-                               double* value) const;
-
-  /// Governed ExecuteBatch. The pre-admission cap check uses
-  /// 2 x total_cells() (calibration is an up *and* a pruned down pass).
-  /// On kOk, `*values` holds every root's marginal.
-  EngineStatus ExecuteBatchGoverned(const EventRegistry& registry,
-                                    const Evidence& evidence,
-                                    PlanScratch* scratch,
-                                    const QueryBudget& budget,
-                                    std::vector<double>* values,
-                                    EngineStats* stats = nullptr) const;
-
-  /// Governed ExecuteDelta. A budget trip mid-repropagation leaves
-  /// `state` *invalid* (the arena holds a mix of old and new messages),
-  /// so the next call falls back to a full pass — correctness is never
-  /// traded for the partial work. On kOk, `*value` holds the root
-  /// marginal.
-  EngineStatus ExecuteDeltaGoverned(const EventRegistry& registry,
-                                    const Evidence& evidence,
-                                    const std::vector<EventId>& dirty_events,
-                                    PlanDeltaState& state,
-                                    const QueryBudget& budget, double* value,
-                                    EngineStats* stats = nullptr,
-                                    double full_fraction = 0.5) const;
+  EngineStatus ExecuteDelta(const EventRegistry& registry,
+                            const Evidence& evidence,
+                            const std::vector<EventId>& dirty_events,
+                            PlanDeltaState& state, double* value,
+                            EngineStats* stats = nullptr,
+                            double full_fraction = 0.5,
+                            const QueryBudget& budget = {}) const;
 
   int width() const { return width_; }
   size_t num_bags() const { return bags_.size(); }
@@ -316,11 +311,9 @@ class JunctionTreePlan {
 
   void FillStats(EngineStats* stats) const;
 
-  /// Test hooks: downgrade every small-bag kernel to the generic strided
-  /// loop, or additionally drop the precomputed gather tables so the
-  /// wide-bag IndexSteps loops run. Both must stay bit-identical to the
-  /// default dispatch (junction_batch_test.cc).
-  void ForceGenericKernelsForTest();
+  /// Test hook: drops the precomputed gather tables so the wide-bag
+  /// IndexSteps loops run on every bag. Must stay bit-identical to the
+  /// gather-table pass (junction_batch_test.cc).
   void ForceBitLoopsForTest();
   /// Test hook: caps below which static fusion / gather precomputation
   /// apply (defaults 16/16; pass negative values to leave unchanged).
@@ -333,7 +326,6 @@ class JunctionTreePlan {
 
  private:
   static constexpr uint32_t kNone = UINT32_MAX;
-  static constexpr uint8_t kOpGeneric = 4;
 
   struct VarFactor {
     EventId event;  ///< Resolved against the registry (or the pinned
@@ -358,7 +350,6 @@ class JunctionTreePlan {
   };
   struct Bag {
     uint8_t k = 0;        ///< Bag size; the local table has 2^k entries.
-    uint8_t opcode = 0;   ///< Kernel dispatch: k for k <= 3, else generic.
     bool is_root = false;
     bool subtree_has_query = false;  ///< Batch: downward-pass pruning.
     uint32_t static_off = kNone;   ///< Pre-fused table in static_.
@@ -380,23 +371,12 @@ class JunctionTreePlan {
 
   JunctionTreePlan() = default;
 
-  static JunctionTreePlan BuildImpl(JunctionTreeAnalysis analysis,
-                                    bool seed_topological, bool batch,
-                                    const QueryBudget* budget);
+  static JunctionTreePlan BuildImpl(JunctionTreeAnalysis analysis, bool batch,
+                                    const QueryBudget& budget);
 
   /// Computes bag `b`'s table (static x variable factors x child
   /// messages) into `table`; `vals` holds the resolved per-var-factor
   /// value pairs, `arena` the message storage.
-  template <int K>
-  void ComputeBagTableK(const Bag& bag, const double* vals,
-                        const double* arena, double* table) const;
-  /// One fused upward step for a small bag: table build plus
-  /// marginalisation onto the parent separator, all trip counts known
-  /// at compile time.
-  template <int K>
-  void UpStepK(const Bag& bag, const double* vals, double* arena) const;
-  void ComputeBagTableGeneric(const Bag& bag, const double* vals,
-                              const double* arena, double* table) const;
   void ComputeBagTable(const Bag& bag, const double* vals,
                        const double* arena, double* table) const;
   /// As above without the child messages (downward-pass base).
@@ -416,33 +396,22 @@ class JunctionTreePlan {
   /// overridden by pinned evidence via a flat dense-EventId vector).
   void ResolveVarValues(const EventRegistry& registry,
                         const Evidence& evidence, double* vals) const;
+  /// Pre-admission: the status a pass of `cells` table cells under
+  /// `budget` is refused with before any arena is touched (cell cap,
+  /// cancellation, deadline), or kOk.
+  static EngineStatus Admit(const QueryBudget& budget, double cells);
+  /// The caller's scratch arena of arena_size_ doubles, or (scratch ==
+  /// nullptr) a per-call allocation owned by `owned`.
+  double* AcquireArena(PlanScratch* scratch,
+                       std::unique_ptr<double[]>* owned) const;
   /// The single-root upward pass over a caller-provided arena of
-  /// arena_size_ doubles (the shared body of Execute and the full-pass
-  /// leg of ExecuteDelta — the arena is left holding the complete
-  /// message pass, which is what ExecuteDelta persists).
-  double ExecuteOnArena(const EventRegistry& registry,
-                        const Evidence& evidence, double* arena) const;
-  /// The governed single-root upward pass: the same kernels, plus one
-  /// budget charge (and fault-injection delay point) per bag. Kept
-  /// separate from ExecuteOnArena so the ungoverned hot loop carries no
-  /// per-bag branches at all.
-  EngineStatus ExecuteGovernedOnArena(const EventRegistry& registry,
-                                      const Evidence& evidence, double* arena,
-                                      BudgetMeter& meter,
-                                      double* value) const;
-  /// Shared body of ExecuteBatch / ExecuteBatchGoverned (`meter`
-  /// nullptr = ungoverned).
-  EngineStatus ExecuteBatchImpl(const EventRegistry& registry,
-                                const Evidence& evidence, EngineStats* stats,
-                                PlanScratch* scratch, BudgetMeter* meter,
-                                std::vector<double>* values) const;
-  /// Shared body of ExecuteDelta / ExecuteDeltaGoverned.
-  EngineStatus ExecuteDeltaImpl(const EventRegistry& registry,
-                                const Evidence& evidence,
-                                const std::vector<EventId>& dirty_events,
-                                PlanDeltaState& state, EngineStats* stats,
-                                double full_fraction, BudgetMeter* meter,
-                                double* value) const;
+  /// arena_size_ doubles, charging `meter` per bag — the one body behind
+  /// ExecuteGoverned and the full-pass leg of ExecuteDelta (the arena is
+  /// left holding the complete message pass, which is what ExecuteDelta
+  /// persists).
+  EngineStatus UpwardPass(const EventRegistry& registry,
+                          const Evidence& evidence, double* arena,
+                          BudgetMeter& meter, double* value) const;
   /// One upward step of bag `b` on `arena` (the per-bag body shared by
   /// the full pass and the dirty-bag recomputation; `vals` points at the
   /// resolved var-factor pairs inside the same arena). Returns the root
@@ -506,8 +475,7 @@ class JunctionTreePlan {
 /// (checked via the root-kind revalidation on every hit).
 class ConcurrentPlanCache {
  public:
-  explicit ConcurrentPlanCache(bool seed_topological = false)
-      : seed_topological_(seed_topological) {}
+  ConcurrentPlanCache() = default;
   ConcurrentPlanCache(const ConcurrentPlanCache&) = delete;
   ConcurrentPlanCache& operator=(const ConcurrentPlanCache&) = delete;
   ~ConcurrentPlanCache();
@@ -515,8 +483,8 @@ class ConcurrentPlanCache {
   /// The cached plan for `root`, building (exactly once across all
   /// threads) on a miss. The returned plan lives as long as the cache.
   ///
-  /// With a `budget`, Build runs governed: a root whose decomposition
-  /// is intrinsically too wide yields a published *failed* plan
+  /// Build runs under `budget`: a root whose decomposition is
+  /// intrinsically too wide yields a published *failed* plan
   /// (build_status() != kOk — a negative cache entry, so the expensive
   /// width discovery also happens once), while a plan refused only by
   /// this caller's budget is returned without being published (another
@@ -529,7 +497,7 @@ class ConcurrentPlanCache {
   /// std::runtime_error instead of hanging, and the next GetOrBuild for
   /// the root retries the build.
   const JunctionTreePlan* GetOrBuild(const BoolCircuit& circuit, GateId root,
-                                     const QueryBudget* budget = nullptr);
+                                     const QueryBudget& budget = {});
 
   /// Lock-free probe: the cached plan, or nullptr without building.
   const JunctionTreePlan* Lookup(GateId root) const;
@@ -593,14 +561,24 @@ class ConcurrentPlanCache {
     return const_cast<ConcurrentPlanCache*>(this)->ShardFor(root);
   }
 
-  bool seed_topological_;
   std::atomic<size_t> builds_{0};
   Shard shards_[kNumShards];
 };
 
-/// One-shot convenience: Build + Execute. If `stats` is non-null it
-/// receives run diagnostics (the width, bag and gate fields of the
-/// shared EngineStats shape).
+/// Runs a single-root `plan` under `budget` into the uniform EngineResult
+/// shape named `engine`: the plan's stats and, on kOk, the root
+/// marginal; a failed build or a budget trip becomes the result's status
+/// (error_bound 1.0). The one execution step every junction-tree-backed
+/// engine and serving path shares.
+EngineResult EstimateWithPlan(const JunctionTreePlan& plan, const char* engine,
+                              const EventRegistry& registry,
+                              const Evidence& evidence, PlanScratch* scratch,
+                              const QueryBudget& budget);
+
+/// One-shot convenience: Build + Execute, aborting on a plan too wide
+/// for exact message passing (engines run the budgeted path instead).
+/// If `stats` is non-null it receives run diagnostics (the width, bag
+/// and gate fields of the shared EngineStats shape).
 double JunctionTreeProbability(const BoolCircuit& circuit, GateId root,
                                const EventRegistry& registry,
                                EngineStats* stats = nullptr);
@@ -611,13 +589,6 @@ double JunctionTreeProbability(const BoolCircuit& circuit, GateId root,
 double JunctionTreeProbabilityWithEvidence(
     const BoolCircuit& circuit, GateId root, const EventRegistry& registry,
     const Evidence& evidence, EngineStats* stats = nullptr);
-
-/// One-shot convenience for the seeded-order path (see
-/// JunctionTreePlan::Build).
-double JunctionTreeProbabilitySeeded(const BoolCircuit& circuit, GateId root,
-                                     const EventRegistry& registry,
-                                     const Evidence& evidence = {},
-                                     EngineStats* stats = nullptr);
 
 }  // namespace tud
 

@@ -10,13 +10,12 @@ namespace tud {
 double SampleProbability(const BoolCircuit& circuit, GateId root,
                          const EventRegistry& registry, uint32_t num_samples,
                          Rng& rng) {
-  TUD_CHECK_GT(num_samples, 0u);
-  uint32_t hits = 0;
-  for (uint32_t s = 0; s < num_samples; ++s) {
-    Valuation valuation = Valuation::Sample(registry, rng);
-    if (circuit.Evaluate(root, valuation)) ++hits;
-  }
-  return static_cast<double>(hits) / num_samples;
+  BudgetMeter unlimited;
+  double value = 0.0;
+  uint32_t done = 0;
+  SampleProbabilityGoverned(circuit, root, registry, num_samples, rng,
+                            unlimited, &value, &done);
+  return value;
 }
 
 EngineStatus SampleProbabilityGoverned(const BoolCircuit& circuit, GateId root,

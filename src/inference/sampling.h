@@ -14,7 +14,8 @@ namespace tud {
 /// valuations and returns the fraction satisfying the circuit. This is
 /// the approximation method the paper says practitioners must fall back
 /// to on unrestricted instances ("makes it necessary in practice to
-/// approximate query results via sampling", §1).
+/// approximate query results via sampling", §1). The governed body below
+/// under an unlimited budget.
 double SampleProbability(const BoolCircuit& circuit, GateId root,
                          const EventRegistry& registry, uint32_t num_samples,
                          Rng& rng);

@@ -139,12 +139,8 @@ class DurableSession {
   // Queries (not logged; reads).
 
   EngineResult Probability(incremental::QueryId query,
-                           const Evidence& evidence = {}) {
-    return incremental_->Probability(query, evidence);
-  }
-  EngineResult Probability(incremental::QueryId query,
-                           const Evidence& evidence,
-                           const QueryBudget& budget) {
+                           const Evidence& evidence = {},
+                           const QueryBudget& budget = {}) {
     return incremental_->Probability(query, evidence, budget);
   }
 

@@ -30,7 +30,7 @@ ServingSession::ServingSession(const BoolCircuit& circuit,
     : circuit_(&circuit),
       registry_(&registry),
       options_(options),
-      engine_(options.seed_topological, /*cache_plans=*/true),
+      engine_(/*cache_plans=*/true),
       scheduler_(SchedulerOptions(options)) {}
 
 ServingSession ServingSession::Over(QuerySession& session,
@@ -42,10 +42,6 @@ ServingSession ServingSession::Over(QuerySession& session,
 ServingSession ServingSession::Over(TreeQuerySession& session,
                                     const ServingOptions& options) {
   return ServingSession(session.tree().circuit(), session.events(), options);
-}
-
-EngineResult ServingSession::RunOne(GateId root, const Evidence& evidence) {
-  return engine_.Estimate(*circuit_, root, *registry_, evidence);
 }
 
 QueryBudget ServingSession::MakeBudget(const QueryOptions& query) const {
@@ -70,12 +66,8 @@ uint64_t EwmaStep(uint64_t old_value, uint64_t sample) {
 
 EngineResult ServingSession::RunGoverned(const Request& request) {
   const auto start = std::chrono::steady_clock::now();
-  EngineResult result =
-      request.budget.unlimited()
-          ? engine_.Estimate(*circuit_, request.root, *registry_,
-                             request.evidence)
-          : engine_.Estimate(*circuit_, request.root, *registry_,
-                             request.evidence, request.budget);
+  EngineResult result = engine_.Estimate(*circuit_, request.root, *registry_,
+                                         request.evidence, request.budget);
   const uint64_t sample_ns = static_cast<uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(
           std::chrono::steady_clock::now() - start)
@@ -245,20 +237,16 @@ void ServingSession::DrainPending() {
   if (reschedule && !scheduler_.Spawn([this] { DrainPending(); }))
     FailAllPending();
 
-  // Group the batch by evidence (groups are what a shared pass can
-  // answer together; grouping also keeps the fan-out deterministic).
-  // Governed requests stay out of the groups: each carries its own
-  // budget, which a shared pass cannot honour per member.
+  // Group the batch by evidence and budget (groups are what a shared
+  // pass, which runs under one budget, can answer together; grouping
+  // also keeps the fan-out deterministic). Deadlines are stamped at
+  // submission, so a request with one stays in a group of its own.
   std::vector<std::vector<std::shared_ptr<Request>>> groups;
   for (auto& request : batch) {
-    if (!request->budget.unlimited()) {
-      std::shared_ptr<Request> r = std::move(request);
-      if (!scheduler_.Spawn([this, r] { Fulfil(r); })) FailRequest(r);
-      continue;
-    }
     bool placed = false;
     for (auto& group : groups) {
-      if (group.front()->evidence == request->evidence) {
+      if (group.front()->evidence == request->evidence &&
+          group.front()->budget == request->budget) {
         group.push_back(std::move(request));
         placed = true;
         break;
@@ -280,7 +268,8 @@ void ServingSession::DrainPending() {
           roots.push_back(request->root);
         try {
           std::vector<EngineResult> results = engine_.EstimateBatch(
-              *circuit_, roots, *registry_, shared_group->front()->evidence);
+              *circuit_, roots, *registry_, shared_group->front()->evidence,
+              shared_group->front()->budget);
           for (size_t i = 0; i < shared_group->size(); ++i)
             (*shared_group)[i]->promise.set_value(results[i]);
         } catch (...) {
@@ -330,14 +319,13 @@ void ServingSession::FailAllPending() {
 
 EngineResult ServingSession::Evaluate(GateId lineage,
                                       const Evidence& evidence) {
-  return RunOne(lineage, evidence);
+  return engine_.Estimate(*circuit_, lineage, *registry_, evidence);
 }
 
 EngineResult ServingSession::Evaluate(GateId lineage, const Evidence& evidence,
                                       const QueryOptions& query) {
-  const QueryBudget budget = MakeBudget(query);
-  if (budget.unlimited()) return RunOne(lineage, evidence);
-  return engine_.Estimate(*circuit_, lineage, *registry_, evidence, budget);
+  return engine_.Estimate(*circuit_, lineage, *registry_, evidence,
+                          MakeBudget(query));
 }
 
 void ServingSession::Prewarm(GateId lineage) {
@@ -392,42 +380,16 @@ EngineResult EpochedServingSession::RunOne(size_t query_index,
     // handle): a normal answer, not a crash.
     return MakeStatusResult("epoched_jt", EngineStatus::kInvalidArgument);
   }
-  const GateId root = snap->query_roots[query_index];
-  EngineResult result;
-  result.engine = "epoched_jt";
-  if (budget.unlimited()) {
-    const JunctionTreePlan* plan =
-        snap->plans->GetOrBuild(*snap->circuit, root);
-    plan->FillStats(&result.stats);
-    result.value = plan->Execute(*snap->registry, evidence,
-                                 TaskScheduler::CurrentScratch());
-    return result;
-  }
   if (budget.cancelled()) {
     return MakeStatusResult("epoched_jt", EngineStatus::kCancelled);
   }
   if (budget.past_deadline()) {
     return MakeStatusResult("epoched_jt", EngineStatus::kDeadlineExceeded);
   }
-  const JunctionTreePlan* plan =
-      snap->plans->GetOrBuild(*snap->circuit, root, &budget);
-  plan->FillStats(&result.stats);
-  if (plan->build_status() != EngineStatus::kOk) {
-    result.status = plan->build_status();
-    result.error_bound = 1.0;
-    return result;
-  }
-  double value = 0.0;
-  EngineStatus st =
-      plan->ExecuteGoverned(*snap->registry, evidence,
-                            TaskScheduler::CurrentScratch(), budget, &value);
-  if (st != EngineStatus::kOk) {
-    result.status = st;
-    result.error_bound = 1.0;
-    return result;
-  }
-  result.value = value;
-  return result;
+  const JunctionTreePlan* plan = snap->plans->GetOrBuild(
+      *snap->circuit, snap->query_roots[query_index], budget);
+  return EstimateWithPlan(*plan, "epoched_jt", *snap->registry, evidence,
+                          TaskScheduler::CurrentScratch(), budget);
 }
 
 std::future<EngineResult> EpochedServingSession::Submit(size_t query_index,

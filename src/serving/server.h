@@ -47,9 +47,6 @@ struct ServingOptions {
   /// equal only to rounding (the default per-root path is bit-identical
   /// to sequential evaluation).
   bool shared_pass = false;
-  /// Seed decompositions from circuit construction order (see
-  /// JunctionTreePlan::Build).
-  bool seed_topological = false;
   /// Default per-query deadline in milliseconds, applied to queries
   /// whose QueryOptions carry none. 0 = no default deadline.
   double default_deadline_ms = 0;
@@ -63,7 +60,8 @@ struct ServingOptions {
 };
 
 /// Per-query resource governance for Submit/Evaluate. Default
-/// constructed = ungoverned (beyond the session's default deadline).
+/// constructed = an unlimited budget (beyond the session's default
+/// deadline).
 struct QueryOptions {
   /// Wall-clock deadline in ms from submission; 0 = the session's
   /// default_deadline_ms (which may itself be "none").
@@ -202,13 +200,12 @@ class ServingSession {
     uint64_t charged_cells = 0;
   };
 
-  EngineResult RunOne(GateId root, const Evidence& evidence);
   EngineResult RunGoverned(const Request& request);
   /// Resolves (QueryOptions, session defaults) into a concrete budget,
   /// stamping the deadline now — queue time counts against it.
   QueryBudget MakeBudget(const QueryOptions& query) const;
-  /// Executes one request on a worker: governed or legacy path, with
-  /// per-task exception containment (a throw fails this future only).
+  /// Executes one request on a worker, with per-task exception
+  /// containment (a throw fails this future only).
   void Fulfil(const std::shared_ptr<Request>& request);
   /// The drain task: moves out pending requests, groups them by
   /// evidence, and fans the groups out across the pool.

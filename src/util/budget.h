@@ -61,6 +61,8 @@ struct QueryBudget {
   uint32_t max_samples = 0;
   const CancelToken* cancel = nullptr;
 
+  bool operator==(const QueryBudget&) const = default;
+
   bool has_deadline() const {
     return deadline != std::chrono::steady_clock::time_point::max();
   }
@@ -88,13 +90,23 @@ struct QueryBudget {
 /// cell accounting and the cancel poll run every call, but the
 /// steady_clock read (the expensive part) is amortised — it only
 /// happens every kCellsPerClockCheck charged cells, so bag-granularity
-/// checks stay under the 2% overhead bar on small-bag plans.
+/// checks stay under the 2% overhead bar on small-bag plans. Every
+/// engine runs its one execution path through a meter, so an unlimited
+/// budget (the default) is decided once, in the constructor: Charge()
+/// is then a single predictable early return, and nothing — not even
+/// the fault harness's forced-cancel point, which models a governed
+/// query's cancellation — can trip it.
 class BudgetMeter {
  public:
-  explicit BudgetMeter(const QueryBudget& budget) : budget_(budget) {}
+  explicit BudgetMeter(const QueryBudget& budget)
+      : budget_(budget), unlimited_(budget.unlimited()) {}
+  /// A meter over an unlimited budget: the budget-free callers of a
+  /// governed body.
+  BudgetMeter() : BudgetMeter(Unlimited()) {}
 
   /// Accounts `cells` units of work; returns kOk or the tripped status.
   EngineStatus Charge(uint64_t cells) {
+    if (unlimited_) return EngineStatus::kOk;
     cells_ += cells;
     if (budget_.max_table_cells != 0 && cells_ > budget_.max_table_cells) {
       return EngineStatus::kResourceExhausted;
@@ -118,7 +130,6 @@ class BudgetMeter {
     return Charge(0);
   }
 
-  uint64_t charged_cells() const { return cells_; }
   const QueryBudget& budget() const { return budget_; }
 
  private:
@@ -127,7 +138,13 @@ class BudgetMeter {
   // microseconds, far inside the "one bag's slack" contract.
   static constexpr uint64_t kCellsPerClockCheck = 8192;
 
+  static const QueryBudget& Unlimited() {
+    static const QueryBudget unlimited;
+    return unlimited;
+  }
+
   const QueryBudget& budget_;
+  const bool unlimited_;
   uint64_t cells_ = 0;
   uint64_t next_clock_at_ = 0;
 };

@@ -62,8 +62,7 @@ TEST(BatchCostModelTest, SubLineageBatteryTakesSharedPass) {
   std::vector<GateId> roots = {chain[31], chain[27], chain[23], chain[19],
                                chain[15]};
 
-  JunctionTreeEngine engine(/*seed_topological=*/false,
-                            /*cache_plans=*/true);
+  JunctionTreeEngine engine(/*cache_plans=*/true);
   std::vector<EngineResult> results =
       engine.EstimateBatch(c, roots, registry, {});
   ASSERT_EQ(results.size(), roots.size());
@@ -91,8 +90,7 @@ TEST(BatchCostModelTest, DisjointSingletonsStayPerRoot) {
   std::vector<GateId> d = BuildChain(c, 20, 10);
   std::vector<GateId> roots = {a.back(), b.back(), d.back()};
 
-  JunctionTreeEngine engine(/*seed_topological=*/false,
-                            /*cache_plans=*/true);
+  JunctionTreeEngine engine(/*cache_plans=*/true);
   std::vector<EngineResult> results =
       engine.EstimateBatch(c, roots, registry, {});
   ASSERT_EQ(results.size(), roots.size());
@@ -115,8 +113,7 @@ TEST(BatchCostModelTest, SingleRootBatteryIsPerRoot) {
   BoolCircuit c;
   std::vector<GateId> chain = BuildChain(c, 0, 12);
 
-  JunctionTreeEngine engine(/*seed_topological=*/false,
-                            /*cache_plans=*/true);
+  JunctionTreeEngine engine(/*cache_plans=*/true);
   std::vector<EngineResult> results =
       engine.EstimateBatch(c, {chain.back()}, registry, {});
   ASSERT_EQ(results.size(), 1u);
@@ -140,8 +137,7 @@ TEST(BatchCostModelTest, MixedBatteryTakesGroupedPath) {
   std::vector<GateId> roots = {cluster[11], cluster[10], cluster[9],
                                heavy.back()};
 
-  JunctionTreeEngine engine(/*seed_topological=*/false,
-                            /*cache_plans=*/true);
+  JunctionTreeEngine engine(/*cache_plans=*/true);
   std::vector<EngineResult> results =
       engine.EstimateBatch(c, roots, registry, {});
   ASSERT_EQ(results.size(), roots.size());
@@ -199,8 +195,7 @@ TEST_P(BatchCostEquivalenceTest, GroupedBatchMatchesSequentialEstimate) {
   const Evidence evidence =
       rng.Bernoulli(0.5) ? Evidence{{1, true}, {8, false}} : Evidence{};
 
-  JunctionTreeEngine engine(/*seed_topological=*/false,
-                            /*cache_plans=*/true);
+  JunctionTreeEngine engine(/*cache_plans=*/true);
   std::vector<EngineResult> batched =
       engine.EstimateBatch(c, roots, registry, evidence);
   ASSERT_EQ(batched.size(), roots.size());

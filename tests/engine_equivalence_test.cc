@@ -75,14 +75,11 @@ TEST_P(EngineEquivalenceTest, ExactEnginesMatchEnumeration) {
 
   ExhaustiveEngine exhaustive;
   JunctionTreeEngine junction_tree;
-  JunctionTreeEngine junction_tree_seeded(/*seed_topological=*/true);
   BddEngine bdd;
   ConditioningEngine conditioning;
   AutoEngine auto_engine;
-  ProbabilityEngine* engines[] = {&exhaustive,   &junction_tree,
-                                  &junction_tree_seeded,
-                                  &bdd,          &conditioning,
-                                  &auto_engine};
+  ProbabilityEngine* engines[] = {&exhaustive, &junction_tree, &bdd,
+                                  &conditioning, &auto_engine};
   for (ProbabilityEngine* engine : engines) {
     EngineResult result = engine->Estimate(c, root, registry);
     EXPECT_NEAR(result.value, exact, 1e-9) << engine->name();
@@ -119,14 +116,11 @@ TEST_P(EngineEquivalenceTest, EvidencePinningMatchesEnumeration) {
 
   ExhaustiveEngine exhaustive;
   JunctionTreeEngine junction_tree;
-  JunctionTreeEngine junction_tree_seeded(/*seed_topological=*/true);
   BddEngine bdd;
   ConditioningEngine conditioning;
   AutoEngine auto_engine;
-  ProbabilityEngine* engines[] = {&exhaustive,   &junction_tree,
-                                  &junction_tree_seeded,
-                                  &bdd,          &conditioning,
-                                  &auto_engine};
+  ProbabilityEngine* engines[] = {&exhaustive, &junction_tree, &bdd,
+                                  &conditioning, &auto_engine};
   for (ProbabilityEngine* engine : engines) {
     EngineResult result = engine->Estimate(c, root, registry, evidence);
     EXPECT_NEAR(result.value, exact, 1e-9) << engine->name();
@@ -231,24 +225,6 @@ TEST(AutoEngineTest, WidthEstimateMatchesPlanAnalysis) {
     EXPECT_EQ(plan.width(), estimate);
   } else {
     EXPECT_LE(plan.width(), estimate);
-  }
-}
-
-TEST(SeededJunctionTreeTest, MatchesGenericOrder) {
-  for (int seed = 0; seed < 10; ++seed) {
-    Rng rng(seed + 400);
-    GateId root;
-    BoolCircuit c = RandomCircuit(rng, 8, 40, &root);
-    EventRegistry registry = RandomRegistry(rng, 8);
-    EngineStats generic_stats, seeded_stats;
-    double generic =
-        JunctionTreeProbability(c, root, registry, &generic_stats);
-    double seeded = JunctionTreeProbabilitySeeded(c, root, registry, {},
-                                                  &seeded_stats);
-    EXPECT_NEAR(seeded, generic, 1e-9);
-    // The fallback caps the seeded width at the generic path's accept
-    // threshold, so seeding can never make inference blow up.
-    EXPECT_LE(seeded_stats.width, std::max(generic_stats.width, 10));
   }
 }
 

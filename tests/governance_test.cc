@@ -10,6 +10,9 @@
 //  - EpochedServingSession answers malformed/governed queries with
 //    statuses, never exceptions;
 //  - IncrementalSession's governed Probability trips recoverably;
+//  - a plan that fails to build is a typed status on every
+//    default-budget path too (one budgeted path per mode, no aborting
+//    twin);
 //  - the recoverable entry points of satellite 1 (TryRegister /
 //    TrySetProbability / bool UpdateProbability);
 //  - TaskScheduler contains a throwing task to itself (the worker and
@@ -107,7 +110,7 @@ TEST(GovernedEngineTest, JunctionTreeCellCapReturnsStatusNotAbort) {
   LadderFixture f = MakeLadder();
   const BoolCircuit& circuit = f.session.pcc().circuit();
   const EventRegistry& events = f.session.pcc().events();
-  JunctionTreeEngine engine(/*seed_topological=*/false, /*cache_plans=*/true);
+  JunctionTreeEngine engine(/*cache_plans=*/true);
 
   QueryBudget tiny;
   tiny.max_table_cells = 1;
@@ -116,8 +119,7 @@ TEST(GovernedEngineTest, JunctionTreeCellCapReturnsStatusNotAbort) {
   EXPECT_FALSE(r.ok());
   EXPECT_EQ(r.error_bound, 1.0);
 
-  // A generous governed run is bit-identical to the ungoverned pass
-  // (the governed kernels are the same kernels).
+  // One call with and without a budget: the same pass, the same bits.
   const double expected = engine.Estimate(circuit, f.lineage, events).value;
   QueryBudget generous;
   generous.max_table_cells = kGenerousCells;
@@ -127,7 +129,7 @@ TEST(GovernedEngineTest, JunctionTreeCellCapReturnsStatusNotAbort) {
   EXPECT_EQ(g.error_bound, 0.0);
 
   // The cap trip is recoverable: the same engine keeps answering
-  // ungoverned queries exactly afterwards.
+  // budget-free queries exactly afterwards.
   EXPECT_EQ(engine.Estimate(circuit, f.lineage, events).value, expected);
 }
 
@@ -165,14 +167,71 @@ TEST(GovernedEngineTest, PlanOffsetOverflowIsTypedStatus) {
               EngineStatus::kResourceExhausted);
     EXPECT_EQ(value, -1.0);
     std::vector<double> values;
-    EXPECT_EQ(refused_batch.ExecuteBatchGoverned(events, {}, nullptr,
-                                                 QueryBudget{}, &values),
+    EXPECT_EQ(refused_batch.ExecuteBatch(events, {}, &values),
               EngineStatus::kResourceExhausted);
     EXPECT_TRUE(values.empty());
 
     ASSERT_EQ(admitted.build_status(), EngineStatus::kOk);
     EXPECT_EQ(admitted.Execute(events), expected);
   }
+}
+
+// Restores the default pool-offset limit when a test ends, however it
+// ends.
+struct ScopedOffsetLimit {
+  explicit ScopedOffsetLimit(size_t limit) {
+    JunctionTreePlan::SetOffsetLimitForTest(limit);
+  }
+  ~ScopedOffsetLimit() { JunctionTreePlan::SetOffsetLimitForTest(0); }
+};
+
+// A plan that fails to build (here: pools over a lowered 32-bit offset
+// limit) is a typed kResourceExhausted on every path a caller reaches
+// without setting a budget, never an abort, and AutoEngine degrades
+// past it to sampling.
+TEST(GovernedEngineTest, FailedPlanOnDefaultBudgetPathsIsTypedStatus) {
+  LadderFixture f = MakeLadder();
+  const BoolCircuit& circuit = f.session.pcc().circuit();
+  const EventRegistry& events = f.session.pcc().events();
+  incremental::IncrementalSession inc(f.session);
+  const incremental::QueryId q = inc.RegisterReachability(0, 0, 26);
+  ASSERT_EQ(inc.root(q), f.lineage);
+  const ScopedOffsetLimit limit(64);
+
+  JunctionTreeEngine uncached;
+  JunctionTreeEngine cached(/*cache_plans=*/true);
+  EXPECT_EQ(uncached.Estimate(circuit, f.lineage, events).status,
+            EngineStatus::kResourceExhausted);
+  EXPECT_EQ(cached.Estimate(circuit, f.lineage, events).status,
+            EngineStatus::kResourceExhausted);
+
+  JunctionTreeEngine threaded(/*cache_plans=*/false, /*batch_threads=*/2);
+  for (const EngineResult& r :
+       threaded.EstimateBatch(circuit, {f.lineage, f.lineage}, events)) {
+    EXPECT_EQ(r.status, EngineStatus::kResourceExhausted);
+  }
+
+  AutoEngine auto_engine;
+  const EngineResult degraded =
+      auto_engine.Estimate(circuit, f.lineage, events);
+  EXPECT_EQ(degraded.status, EngineStatus::kOk);
+  EXPECT_GE(degraded.stats.degradations, 1u);
+  EXPECT_STRNE(degraded.engine, "junction_tree");
+
+  ServingOptions options;
+  options.num_threads = 2;
+  ServingSession serving = ServingSession::Over(f.session, options);
+  EXPECT_EQ(serving.Submit(f.lineage).get().status,
+            EngineStatus::kResourceExhausted);
+  serving.Drain();
+
+  incremental::EpochManager epochs;
+  inc.PublishSnapshot(epochs);
+  serving::EpochedServingSession epoched(epochs, options);
+  EXPECT_EQ(epoched.Submit(q).get().status, EngineStatus::kResourceExhausted);
+  epoched.Drain();
+
+  EXPECT_EQ(inc.Probability(q).status, EngineStatus::kResourceExhausted);
 }
 
 TEST(GovernedEngineTest, PastDeadlinePreemptsExecution) {
@@ -226,7 +285,7 @@ TEST(GovernedEngineTest, MalformedRequestsReturnInvalidArgument) {
 
 TEST(GovernedEngineTest, BatchDeadlineShortCircuitsEveryRoot) {
   LadderFixture f = MakeLadder();
-  JunctionTreeEngine engine(/*seed_topological=*/false, /*cache_plans=*/true);
+  JunctionTreeEngine engine(/*cache_plans=*/true);
   std::vector<GateId> roots(4, f.lineage);
   QueryBudget budget = QueryBudget::WithDeadlineMs(0.0);
   std::this_thread::sleep_for(std::chrono::milliseconds(1));
@@ -246,11 +305,12 @@ TEST(GovernedEngineTest, ConditioningOnZeroProbabilityObservation) {
   ConditioningEngine engine;
   Evidence impossible{{b, true}};
 
-  // Ungoverned: the conditional does not exist — an answer, not an abort.
+  // Without a budget: the conditional does not exist — an answer, not an
+  // abort.
   EngineResult r = engine.Estimate(circuit, root, events, impossible);
   EXPECT_EQ(r.status, EngineStatus::kInvalidArgument);
 
-  // Governed path reports the same.
+  // The same call with a budget reports the same.
   QueryBudget generous;
   generous.max_table_cells = kGenerousCells;
   EngineResult g = engine.Estimate(circuit, root, events, impossible,
@@ -422,7 +482,7 @@ TEST(IncrementalGovernanceTest, GovernedProbabilityTripsRecoverably) {
 
   const double expected = inc.Probability(q).value;
 
-  // Generous governed run: same bits, kOk.
+  // The same call with a generous budget: same bits, kOk.
   QueryBudget generous;
   generous.max_table_cells = kGenerousCells;
   EngineResult g = inc.Probability(q, {}, generous);
@@ -437,7 +497,7 @@ TEST(IncrementalGovernanceTest, GovernedProbabilityTripsRecoverably) {
   EXPECT_EQ(t.status, EngineStatus::kResourceExhausted);
   EXPECT_EQ(t.error_bound, 1.0);
 
-  // ...and the session recovers: the next ungoverned query is
+  // ...and the session recovers: the next budget-free query is
   // bit-identical to a fresh full evaluation of the current state.
   const double fresh = JunctionTreeProbability(
       session.pcc().circuit(), inc.root(q), session.pcc().events());
@@ -448,7 +508,7 @@ TEST(IncrementalGovernanceTest, GovernedProbabilityTripsRecoverably) {
 // ServingSession governance
 // ---------------------------------------------------------------------------
 
-TEST(ServingGovernanceTest, GovernedSubmitMatchesUngoverned) {
+TEST(ServingGovernanceTest, SubmitWithBudgetMatchesWithout) {
   LadderFixture f = MakeLadder();
   ServingOptions options;
   options.num_threads = 2;
@@ -608,8 +668,8 @@ TEST(EpochedGovernanceTest, StatusesInsteadOfExceptions) {
   EXPECT_EQ(serving.Submit(q + 100).get().status,
             EngineStatus::kInvalidArgument);
 
-  // Governed: generous budget matches, tiny cap trips, cancellation
-  // preempts.
+  // With a budget: a generous one matches the budget-free answer, a
+  // tiny cap trips, cancellation preempts.
   QueryOptions generous;
   generous.deadline_ms = 60000;
   generous.max_table_cells = kGenerousCells;

@@ -109,6 +109,18 @@ struct LadderFixture {
   }
 };
 
+/// The root marginal from one ExecuteDelta call (expected to succeed).
+double Delta(const JunctionTreePlan& plan, const EventRegistry& events,
+             const Evidence& evidence, const std::vector<EventId>& dirty,
+             PlanDeltaState& state, EngineStats* stats = nullptr,
+             double full_fraction = 0.5) {
+  double value = -1.0;
+  EXPECT_EQ(plan.ExecuteDelta(events, evidence, dirty, state, &value, stats,
+                              full_fraction),
+            EngineStatus::kOk);
+  return value;
+}
+
 TEST(ExecuteDeltaTest, BitIdenticalToFullExecuteUnderUpdates) {
   LadderFixture f = LadderFixture::Make(12, 17);
   EventRegistry& events = f.session.pcc().events();
@@ -133,8 +145,8 @@ TEST(ExecuteDeltaTest, BitIdenticalToFullExecuteUnderUpdates) {
     // default 50% threshold, and this test is about the delta
     // machinery, not the fallback policy.
     const double incremental_value =
-        plan.ExecuteDelta(events, {}, dirty, state, nullptr,
-                          /*full_fraction=*/1.0);
+        Delta(plan, events, {}, dirty, state, nullptr,
+              /*full_fraction=*/1.0);
     const double full_value = plan.Execute(events);
     EXPECT_EQ(incremental_value, full_value) << "round " << round;
   }
@@ -157,8 +169,8 @@ TEST(ExecuteDeltaTest, BitIdenticalUnderEvidence) {
     const EventId e = static_cast<EventId>(
         rng.UniformDouble() * static_cast<double>(events.size()));
     events.set_probability(e, rng.UniformDouble());
-    EXPECT_EQ(plan.ExecuteDelta(events, evidence, {e}, state, nullptr,
-                                /*full_fraction=*/1.0),
+    EXPECT_EQ(Delta(plan, events, evidence, {e}, state, nullptr,
+                    /*full_fraction=*/1.0),
               plan.Execute(events, evidence));
   }
   EXPECT_EQ(state.full_passes, 1u);
@@ -166,15 +178,15 @@ TEST(ExecuteDeltaTest, BitIdenticalUnderEvidence) {
   // An update under a pinned event changes nothing: no bag recomputed.
   const uint64_t bags_before = state.bags_recomputed;
   events.set_probability(0, 0.123);
-  EXPECT_EQ(plan.ExecuteDelta(events, evidence, {0}, state, nullptr,
-                              /*full_fraction=*/1.0),
+  EXPECT_EQ(Delta(plan, events, evidence, {0}, state, nullptr,
+                  /*full_fraction=*/1.0),
             plan.Execute(events, evidence));
   EXPECT_EQ(state.bags_recomputed, bags_before);
 
   // An evidence change forces a full pass.
   const Evidence other = {{0, false}};
-  EXPECT_EQ(plan.ExecuteDelta(events, other, {}, state, nullptr,
-                              /*full_fraction=*/1.0),
+  EXPECT_EQ(Delta(plan, events, other, {}, state, nullptr,
+                  /*full_fraction=*/1.0),
             plan.Execute(events, other));
   EXPECT_EQ(state.full_passes, 2u);
 }
@@ -186,22 +198,22 @@ TEST(ExecuteDeltaTest, ThresholdFallbackAndNoopSkip) {
       JunctionTreePlan::Build(f.session.pcc().circuit(), f.root);
 
   PlanDeltaState state;
-  plan.ExecuteDelta(events, {}, {}, state);  // Warm: one full pass.
+  Delta(plan, events, {}, {}, state);  // Warm: one full pass.
   EXPECT_EQ(state.full_passes, 1u);
 
   // A real change with full_fraction = 0 always exceeds the threshold.
   events.set_probability(2, 0.9);
   EngineStats stats;
-  EXPECT_EQ(plan.ExecuteDelta(events, {}, {2}, state, &stats,
-                              /*full_fraction=*/0.0),
+  EXPECT_EQ(Delta(plan, events, {}, {2}, state, &stats,
+                  /*full_fraction=*/0.0),
             plan.Execute(events));
   EXPECT_EQ(state.full_passes, 2u);
 
   // The same change with full_fraction = 1 takes the delta path and
   // recomputes strictly fewer bags than the tree holds.
   events.set_probability(2, 0.1);
-  EXPECT_EQ(plan.ExecuteDelta(events, {}, {2}, state, &stats,
-                              /*full_fraction=*/1.0),
+  EXPECT_EQ(Delta(plan, events, {}, {2}, state, &stats,
+                  /*full_fraction=*/1.0),
             plan.Execute(events));
   EXPECT_EQ(state.delta_passes, 1u);
   EXPECT_GT(stats.bags_visited, 0u);
@@ -210,7 +222,7 @@ TEST(ExecuteDeltaTest, ThresholdFallbackAndNoopSkip) {
   // Marking an event dirty without changing its value is a no-op pass.
   const double unchanged = events.probability(4);
   events.set_probability(4, unchanged);
-  EXPECT_EQ(plan.ExecuteDelta(events, {}, {4}, state, &stats),
+  EXPECT_EQ(Delta(plan, events, {}, {4}, state, &stats),
             plan.Execute(events));
   EXPECT_EQ(stats.bags_visited, 0u);
   EXPECT_EQ(state.full_passes, 2u);

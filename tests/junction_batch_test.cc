@@ -1,9 +1,9 @@
 // Equivalence suite for the vectorized batched junction-tree execution
 // path: ExecuteBatch (one calibrating pass over a shared decomposition
 // of the union cone) must agree with sequential single-root Execute on
-// randomized circuits, with and without evidence; the small-bag kernels
-// must be bit-identical to the generic strided loop and the wide-bag
-// IndexSteps fallback, in full and delta passes; and the session-level
+// randomized circuits, with and without evidence; the gather-table
+// kernels must be bit-identical to the wide-bag IndexSteps fallback, in
+// full and delta passes; and the session-level
 // ProbabilityBatch surface must agree with per-query Probability for
 // every engine mode (shared pass, thread-parallel per-root plans,
 // default loop).
@@ -70,6 +70,28 @@ std::vector<GateId> RandomRoots(Rng& rng, const std::vector<GateId>& pool,
   return roots;
 }
 
+/// Every root's marginal from one ExecuteBatch pass (expected to succeed).
+std::vector<double> BatchValues(const JunctionTreePlan& plan,
+                                const EventRegistry& registry,
+                                const Evidence& evidence = {},
+                                EngineStats* stats = nullptr) {
+  std::vector<double> values;
+  EXPECT_EQ(plan.ExecuteBatch(registry, evidence, &values, stats),
+            EngineStatus::kOk);
+  return values;
+}
+
+/// The root marginal from one ExecuteDelta call (expected to succeed).
+double DeltaValue(const JunctionTreePlan& plan, const EventRegistry& registry,
+                  const std::vector<EventId>& dirty, PlanDeltaState& state,
+                  double full_fraction = 0.5) {
+  double value = -1.0;
+  EXPECT_EQ(plan.ExecuteDelta(registry, {}, dirty, state, &value, nullptr,
+                              full_fraction),
+            EngineStatus::kOk);
+  return value;
+}
+
 class JunctionBatchTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(JunctionBatchTest, ExecuteBatchMatchesSequentialExecute) {
@@ -81,7 +103,7 @@ TEST_P(JunctionBatchTest, ExecuteBatchMatchesSequentialExecute) {
 
   JunctionTreePlan batch = JunctionTreePlan::BuildBatch(c, roots);
   EngineStats stats;
-  std::vector<double> batched = batch.ExecuteBatch(registry, {}, &stats);
+  std::vector<double> batched = BatchValues(batch, registry, {}, &stats);
   ASSERT_EQ(batched.size(), roots.size());
   EXPECT_EQ(stats.batch_size, roots.size());
   EXPECT_GT(stats.bags_visited, 0u);
@@ -102,7 +124,7 @@ TEST_P(JunctionBatchTest, ExecuteBatchMatchesSequentialWithEvidence) {
   const Evidence evidence = {{0, true}, {3, false}};
 
   JunctionTreePlan batch = JunctionTreePlan::BuildBatch(c, roots);
-  std::vector<double> batched = batch.ExecuteBatch(registry, evidence);
+  std::vector<double> batched = BatchValues(batch, registry, evidence);
   for (size_t i = 0; i < roots.size(); ++i) {
     JunctionTreePlan single = JunctionTreePlan::Build(c, roots[i]);
     EXPECT_NEAR(batched[i], single.Execute(registry, evidence), 1e-9)
@@ -110,7 +132,7 @@ TEST_P(JunctionBatchTest, ExecuteBatchMatchesSequentialWithEvidence) {
   }
 }
 
-TEST_P(JunctionBatchTest, SmallBagKernelsMatchGenericAndBitLoops) {
+TEST_P(JunctionBatchTest, GatherTablesMatchBitLoops) {
   Rng rng(GetParam() + 1000);
   std::vector<GateId> pool;
   BoolCircuit c = RandomCircuit(rng, 8, 35, &pool);
@@ -119,19 +141,14 @@ TEST_P(JunctionBatchTest, SmallBagKernelsMatchGenericAndBitLoops) {
   const Evidence evidence = {{1, false}};
 
   JunctionTreePlan fast = JunctionTreePlan::Build(c, root);
-  JunctionTreePlan generic = JunctionTreePlan::Build(c, root);
-  generic.ForceGenericKernelsForTest();
   JunctionTreePlan bitloops = JunctionTreePlan::Build(c, root);
   bitloops.ForceBitLoopsForTest();
 
-  // Every kernel multiplies the same factors in the same order, so the
+  // Both kernels multiply the same factors in the same order, so the
   // answers are bit-identical, not merely close.
-  const double expected = fast.Execute(registry);
-  EXPECT_EQ(generic.Execute(registry), expected);
-  EXPECT_EQ(bitloops.Execute(registry), expected);
-  const double pinned = fast.Execute(registry, evidence);
-  EXPECT_EQ(generic.Execute(registry, evidence), pinned);
-  EXPECT_EQ(bitloops.Execute(registry, evidence), pinned);
+  EXPECT_EQ(bitloops.Execute(registry), fast.Execute(registry));
+  EXPECT_EQ(bitloops.Execute(registry, evidence),
+            fast.Execute(registry, evidence));
 }
 
 TEST_P(JunctionBatchTest, BitLoopDeltaMatchesFullExecute) {
@@ -154,13 +171,13 @@ TEST_P(JunctionBatchTest, BitLoopDeltaMatchesFullExecute) {
 
   for (const JunctionTreePlan* plan : {&bitloops, &unfused}) {
     PlanDeltaState state;
-    EXPECT_EQ(plan->ExecuteDelta(registry, {}, {}, state),
+    EXPECT_EQ(DeltaValue(*plan, registry, {}, state),
               plan->Execute(registry));
     for (int round = 0; round < 6; ++round) {
       const EventId e = static_cast<EventId>(rng.UniformInt(8));
       registry.set_probability(e, 0.05 + 0.9 * rng.UniformDouble());
       // full_fraction 1: never fall back to a full pass.
-      EXPECT_EQ(plan->ExecuteDelta(registry, {}, {e}, state, nullptr, 1.0),
+      EXPECT_EQ(DeltaValue(*plan, registry, {e}, state, 1.0),
                 plan->Execute(registry))
           << "round " << round;
     }
@@ -188,8 +205,8 @@ TEST_P(JunctionBatchTest, UnfusedStaticsMatchFusedTables) {
   JunctionTreePlan::SetKernelThresholdsForTest(16, 16);
 
   EXPECT_NEAR(unfused.Execute(registry), fused.Execute(registry), 1e-12);
-  std::vector<double> a = fused_batch.ExecuteBatch(registry);
-  std::vector<double> b = unfused_batch.ExecuteBatch(registry);
+  std::vector<double> a = BatchValues(fused_batch, registry);
+  std::vector<double> b = BatchValues(unfused_batch, registry);
   ASSERT_EQ(a.size(), b.size());
   for (size_t i = 0; i < a.size(); ++i) EXPECT_NEAR(a[i], b[i], 1e-12);
 }
@@ -202,9 +219,8 @@ TEST_P(JunctionBatchTest, EngineBatchModesAgreeWithExhaustive) {
   std::vector<GateId> roots = RandomRoots(rng, pool, 5);
   const Evidence evidence = {{2, true}};
 
-  JunctionTreeEngine shared(/*seed_topological=*/false, /*cache_plans=*/true);
-  JunctionTreeEngine threaded(/*seed_topological=*/false,
-                              /*cache_plans=*/true, /*batch_threads=*/4);
+  JunctionTreeEngine shared(/*cache_plans=*/true);
+  JunctionTreeEngine threaded(/*cache_plans=*/true, /*batch_threads=*/4);
   JunctionTreeEngine uncached;
   ExhaustiveEngine exhaustive;
 
@@ -252,7 +268,7 @@ TEST(JunctionBatchTest, ConstantAndDuplicateRoots) {
 
   JunctionTreePlan plan =
       JunctionTreePlan::BuildBatch(c, {yes, both, no, both, va});
-  std::vector<double> p = plan.ExecuteBatch(registry);
+  std::vector<double> p = BatchValues(plan, registry);
   ASSERT_EQ(p.size(), 5u);
   EXPECT_DOUBLE_EQ(p[0], 1.0);
   EXPECT_NEAR(p[1], 0.125, 1e-12);
@@ -267,7 +283,7 @@ TEST(JunctionBatchTest, AllConstantBatchIsTrivial) {
   GateId yes = c.AddConst(true);
   GateId no = c.AddConst(false);
   JunctionTreePlan plan = JunctionTreePlan::BuildBatch(c, {no, yes});
-  std::vector<double> p = plan.ExecuteBatch(registry);
+  std::vector<double> p = BatchValues(plan, registry);
   ASSERT_EQ(p.size(), 2u);
   EXPECT_DOUBLE_EQ(p[0], 0.0);
   EXPECT_DOUBLE_EQ(p[1], 1.0);
@@ -285,8 +301,7 @@ TEST(JunctionBatchTest, PermutedAndDuplicatedBatteryHitsCache) {
   std::sort(roots.begin(), roots.end());
   roots.erase(std::unique(roots.begin(), roots.end()), roots.end());
 
-  JunctionTreeEngine engine(/*seed_topological=*/false,
-                            /*cache_plans=*/true);
+  JunctionTreeEngine engine(/*cache_plans=*/true);
   std::vector<EngineResult> first =
       engine.EstimateBatch(c, roots, registry, {});
   EXPECT_EQ(engine.batch_builds(), 1u);
@@ -323,8 +338,7 @@ TEST(JunctionBatchTest, HotBatterySurvivesCachePressure) {
   std::vector<GateId> pool;
   BoolCircuit c = RandomCircuit(rng, 8, 120, &pool);
   EventRegistry registry = RandomRegistry(rng, 8);
-  JunctionTreeEngine engine(/*seed_topological=*/false,
-                            /*cache_plans=*/true);
+  JunctionTreeEngine engine(/*cache_plans=*/true);
 
   std::vector<GateId> hot = RandomRoots(rng, pool, 5);
   std::sort(hot.begin(), hot.end());
@@ -379,8 +393,7 @@ TEST(QuerySessionBatchTest, ProbabilityBatchMatchesProbability) {
   }
   QuerySession session = QuerySession::FromCInstance(
       tid.ToPcInstance(),
-      std::make_unique<JunctionTreeEngine>(
-          /*seed_topological=*/false, /*cache_plans=*/true));
+      std::make_unique<JunctionTreeEngine>(/*cache_plans=*/true));
 
   std::vector<GateId> lineages;
   for (uint32_t t = 1; t < rungs; t += 2) {
@@ -422,8 +435,7 @@ TEST(QuerySessionBatchTest, SubLineageMarginalsUseSharedPass) {
   }
   QuerySession session = QuerySession::FromCInstance(
       tid.ToPcInstance(),
-      std::make_unique<JunctionTreeEngine>(
-          /*seed_topological=*/false, /*cache_plans=*/true));
+      std::make_unique<JunctionTreeEngine>(/*cache_plans=*/true));
   GateId lineage = session.ReachabilityLineage(0, 0, 2 * rungs - 2);
   std::vector<GateId> cone =
       session.pcc().circuit().ReachableFrom(lineage);
@@ -461,8 +473,7 @@ TEST(TreeQuerySessionBatchTest, ProbabilityBatchMatchesProbability) {
 
   TreeQuerySession session(
       std::move(tree), registry,
-      std::make_unique<JunctionTreeEngine>(
-          /*seed_topological=*/false, /*cache_plans=*/true));
+      std::make_unique<JunctionTreeEngine>(/*cache_plans=*/true));
   std::vector<AutomatonExpr> exprs = {
       AutomatonExpr::Atom(MakeExistsLabel(3, 1)),
       AutomatonExpr::Atom(MakeExistsLabel(3, 2)),

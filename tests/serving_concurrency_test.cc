@@ -70,8 +70,7 @@ Prepared PrepareLadder(uint32_t rungs, uint32_t num_lineages,
   const EventRegistry& events = p.session.pcc().events();
   std::vector<uint32_t> mix =
       workloads::ZipfianQueryMix(num_lineages, num_queries, 0.99, 77);
-  JunctionTreeEngine sequential(/*seed_topological=*/false,
-                                /*cache_plans=*/true);
+  JunctionTreeEngine sequential(/*cache_plans=*/true);
   for (size_t q = 0; q < mix.size(); ++q) {
     Evidence evidence;
     if (q % 3 == 1 && events.size() > 0)
@@ -193,7 +192,7 @@ TEST(ConcurrentPlanCacheTest, ThunderingHerdBuildsOnce) {
 TEST(ServingConcurrencyTest, SharedEngineBitIdenticalFromEightThreads) {
   Prepared p = PrepareLadder(/*rungs=*/14, /*num_lineages=*/10,
                              /*num_queries=*/400);
-  JunctionTreeEngine engine(/*seed_topological=*/false, /*cache_plans=*/true);
+  JunctionTreeEngine engine(/*cache_plans=*/true);
   const BoolCircuit& circuit = p.session.pcc().circuit();
   const EventRegistry& events = p.session.pcc().events();
 
@@ -215,7 +214,7 @@ TEST(ServingConcurrencyTest, SharedEngineBitIdenticalFromEightThreads) {
 
 TEST(ServingConcurrencyTest, ConcurrentEstimateBatchMatchesSequential) {
   Prepared p = PrepareLadder(14, 8, 0);
-  JunctionTreeEngine engine(false, /*cache_plans=*/true);
+  JunctionTreeEngine engine(/*cache_plans=*/true);
   const BoolCircuit& circuit = p.session.pcc().circuit();
   const EventRegistry& events = p.session.pcc().events();
   std::vector<EngineResult> sequential =

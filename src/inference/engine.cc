@@ -124,12 +124,6 @@ std::vector<std::vector<uint32_t>> GroupRootsByConeOverlap(
 
 }  // namespace
 
-namespace {
-
-/// Request validation shared by the non-virtual entry points: a
-/// malformed request (root out of range, evidence event unknown to the
-/// registry) is the caller's bug, reported as kInvalidArgument instead
-/// of tripping a TUD_CHECK abort deep inside an engine.
 bool ValidRequest(const BoolCircuit& circuit, GateId root,
                   const EventRegistry& registry, const Evidence& evidence) {
   if (root >= circuit.NumGates()) return false;
@@ -139,8 +133,6 @@ bool ValidRequest(const BoolCircuit& circuit, GateId root,
   }
   return true;
 }
-
-}  // namespace
 
 EngineResult ProbabilityEngine::Estimate(const BoolCircuit& circuit,
                                          GateId root,
@@ -287,12 +279,6 @@ void JunctionTreeEngine::BindCircuit(const BoolCircuit& circuit) {
   }
 }
 
-void JunctionTreeEngine::Prewarm(const BoolCircuit& circuit, GateId root) {
-  TUD_CHECK(cache_plans_) << "Prewarm requires a plan-caching engine";
-  BindCircuit(circuit);
-  cache_->GetOrBuild(circuit, root);
-}
-
 EngineResult JunctionTreeEngine::EstimateImpl(const BoolCircuit& circuit,
                                               GateId root,
                                               const EventRegistry& registry,
@@ -380,9 +366,7 @@ std::vector<EngineResult> JunctionTreeEngine::EstimateBatchImpl(
   if (cache_plans_) {
     BindCircuit(circuit);
     for (GateId root : roots) TUD_CHECK_LT(root, circuit.NumGates());
-    // Lock-free read of the published decision/plan snapshot.
-    std::shared_ptr<const BatchMap> snapshot =
-        batch_published_.load(std::memory_order_acquire);
+    std::shared_ptr<const BatchMap> snapshot = BatchSnapshot();
     if (snapshot != nullptr) {
       auto it = snapshot->find(key);
       if (it != snapshot->end()) {
@@ -411,10 +395,9 @@ std::vector<EngineResult> JunctionTreeEngine::EstimateBatchImpl(
       // wins, the other becomes the winner's value — benign, identical
       // plans.
       std::lock_guard<std::mutex> lock(batch_mu_);
-      std::shared_ptr<const BatchMap> old =
-          batch_published_.load(std::memory_order_relaxed);
-      auto next = old != nullptr ? std::make_shared<BatchMap>(*old)
-                                 : std::make_shared<BatchMap>();
+      auto next = batch_published_ != nullptr
+                      ? std::make_shared<BatchMap>(*batch_published_)
+                      : std::make_shared<BatchMap>();
       if (next->size() >= kMaxBatchPlans && next->find(key) == next->end()) {
         // FIFO eviction: drop only the oldest entry (smallest insertion
         // seq) — hot batteries survive cache pressure instead of the
@@ -427,7 +410,7 @@ std::vector<EngineResult> JunctionTreeEngine::EstimateBatchImpl(
       }
       built->seq = ++batch_seq_;
       next->insert_or_assign(key, *built);
-      batch_published_.store(std::move(next), std::memory_order_release);
+      batch_published_ = std::move(next);
     }
     decision = std::move(built);
   }
@@ -560,9 +543,14 @@ JunctionTreeEngine::CachedBatchPlan JunctionTreeEngine::DecideBatch(
   return decision;
 }
 
+std::shared_ptr<const JunctionTreeEngine::BatchMap>
+JunctionTreeEngine::BatchSnapshot() const {
+  std::lock_guard<std::mutex> lock(batch_mu_);
+  return batch_published_;
+}
+
 size_t JunctionTreeEngine::batch_cache_size() const {
-  std::shared_ptr<const BatchMap> snapshot =
-      batch_published_.load(std::memory_order_acquire);
+  std::shared_ptr<const BatchMap> snapshot = BatchSnapshot();
   return snapshot == nullptr ? 0 : snapshot->size();
 }
 

@@ -102,6 +102,15 @@ inline EngineResult MakeStatusResult(const char* engine,
   return result;
 }
 
+/// Request validation shared by every entry point that answers a
+/// (root, evidence) request — the engines' non-virtual Estimate and
+/// EstimateBatch and the serving layer: a malformed request (root out
+/// of range, evidence event unknown to the registry) is the caller's
+/// bug, reported as kInvalidArgument instead of tripping a TUD_CHECK
+/// abort deep inside an engine.
+bool ValidRequest(const BoolCircuit& circuit, GateId root,
+                  const EventRegistry& registry, const Evidence& evidence);
+
 /// The unified inference interface of the evaluation pipeline (§2.2:
 /// "the probability that I satisfies q can be computed from C"): every
 /// engine estimates P(root = true | evidence) over the independent
@@ -219,11 +228,11 @@ class ExhaustiveEngine : public ProbabilityEngine {
 /// that many threads instead.
 ///
 /// Thread safety: `Estimate` and `EstimateBatch` may be called from any
-/// number of threads concurrently (the serving layer's contract). The
-/// per-root memo is a ConcurrentPlanCache — lock-free snapshot lookup,
-/// build-once publication — the circuit bind is an atomic CAS, and the
-/// batch-decision memo publishes immutable snapshots under a writer
-/// mutex. Plan execution itself is `const` over per-call (thread-local)
+/// number of threads concurrently. The per-root memo is a
+/// ConcurrentPlanCache — lock-free snapshot lookup, build-once
+/// publication — the circuit bind is an atomic CAS, and the
+/// batch-decision memo publishes immutable snapshots under a mutex.
+/// Plan execution itself is `const` over per-call (thread-local)
 /// scratch arenas. Only the *circuit* must be quiescent: growing it
 /// (lineage construction) while estimating against it is a data race —
 /// see the QuerySession/ServingSession phase contract.
@@ -236,11 +245,6 @@ class JunctionTreeEngine : public ProbabilityEngine {
   JunctionTreeEngine& operator=(const JunctionTreeEngine&) = delete;
 
   const char* name() const override { return "junction_tree"; }
-
-  /// Builds (or finds) the cached plan for `root` without executing it
-  /// — cache warm-up, so serving traffic never pays a cold Build.
-  /// Requires `cache_plans`.
-  void Prewarm(const BoolCircuit& circuit, GateId root);
 
   /// The per-root plan memo (cache_plans engines; nullptr otherwise).
   /// Exposes builds()/size() for the build-once tests and stats.
@@ -299,14 +303,17 @@ class JunctionTreeEngine : public ProbabilityEngine {
   /// Batch decisions memoised per *canonical* root set (sorted +
   /// deduped — permuted or duplicated batteries hit one entry; ordered
   /// map: root vectors are short and sessions reissue identical
-  /// batches), as an immutable snapshot published through an atomic
-  /// shared_ptr: lock-free lookup, copy-on-write insertion under
-  /// batch_mu_. Unlike the per-root cache there is no build-once latch
-  /// — two threads missing the same new root set may both build it and
-  /// one copy wins, which is benign (identical plans) and keeps the hot
-  /// read path untouched. Past kMaxBatchPlans the entry with the
-  /// smallest insertion seq is evicted (FIFO), so varying batches
-  /// cannot grow the memo without bound while hot batteries survive.
+  /// batches), as an immutable snapshot whose shared_ptr is copied out
+  /// under batch_mu_ and replaced copy-on-write under the same mutex —
+  /// a mutex rather than std::atomic<shared_ptr> for the reason
+  /// EpochManager gives: ThreadSanitizer cannot model libstdc++'s
+  /// lock-bit protocol and reports a race on the load path. Unlike the
+  /// per-root cache there is no build-once latch — two threads missing
+  /// the same new root set may both build it and one copy wins, which
+  /// is benign (identical plans) and keeps the lookup short. Past
+  /// kMaxBatchPlans the entry with the smallest insertion seq is
+  /// evicted (FIFO), so varying batches cannot grow the memo without
+  /// bound while hot batteries survive.
   using BatchMap = std::map<std::vector<GateId>, CachedBatchPlan>;
   static constexpr size_t kMaxBatchPlans = 64;
 
@@ -316,8 +323,11 @@ class JunctionTreeEngine : public ProbabilityEngine {
   CachedBatchPlan DecideBatch(const BoolCircuit& circuit,
                               const std::vector<GateId>& roots) const;
 
-  std::atomic<std::shared_ptr<const BatchMap>> batch_published_{nullptr};
-  std::mutex batch_mu_;
+  /// The published batch memo (copied out under batch_mu_).
+  std::shared_ptr<const BatchMap> BatchSnapshot() const;
+
+  mutable std::mutex batch_mu_;
+  std::shared_ptr<const BatchMap> batch_published_;  ///< Guarded by batch_mu_.
   uint64_t batch_seq_ = 0;  ///< Guarded by batch_mu_.
   std::atomic<uint64_t> batch_builds_{0};
 };

@@ -21,32 +21,15 @@ namespace tud {
 
 class QuerySession;
 class TreeQuerySession;
-class ConcurrentPlanCache;
 
 namespace serving {
 
 struct ServingOptions {
   /// Scheduler workers; 0 means hardware concurrency.
   unsigned num_threads = 0;
-  /// Backpressure bound: with coalesce=false it caps the scheduler's
-  /// intake queue (see TaskScheduler::Options); with coalesce=true it
-  /// caps the pending coalescing buffer. Either way, Submit blocks
-  /// once this many queries are queued and unclaimed.
+  /// Backpressure bound on the coalescing buffer: Submit blocks once
+  /// this many queries are queued and unclaimed.
   size_t queue_capacity = 4096;
-  /// Batch the intake: submissions arriving while a drain task is
-  /// pending are picked up together, grouped by evidence, and fanned
-  /// out from inside the pool (deque pushes instead of per-query
-  /// intake-queue round trips).
-  bool coalesce = true;
-  /// Most requests one drain task takes (the rest reschedule).
-  size_t max_coalesce = 64;
-  /// Route each coalesced same-evidence group through one
-  /// JunctionTreeEngine::EstimateBatch — a single shared message pass
-  /// when the roots' union cone stays narrow. Off by default: the
-  /// shared pass sums in a different association order, so results are
-  /// equal only to rounding (the default per-root path is bit-identical
-  /// to sequential evaluation).
-  bool shared_pass = false;
   /// Default per-query deadline in milliseconds, applied to queries
   /// whose QueryOptions carry none. 0 = no default deadline.
   double default_deadline_ms = 0;
@@ -54,8 +37,8 @@ struct ServingOptions {
   /// finds this many queries already queued is *shed* — its future
   /// resolves immediately to a kRejected EngineResult — instead of
   /// blocking the submitter (the overload answer a serving process
-  /// wants: typed rejection, bounded latency). 0 keeps the legacy
-  /// blocking backpressure.
+  /// wants: typed rejection, bounded latency). 0 keeps the blocking
+  /// backpressure.
   size_t shed_capacity = 0;
 };
 
@@ -79,33 +62,65 @@ struct QueryOptions {
   std::shared_ptr<const CancelToken> cancel;
 };
 
+/// How a query names what it asks for: a gate id of the circuit on a
+/// static source, a registered query index on an epoch source.
+using QueryKey = size_t;
+
 /// The concurrent serving front-end of the evaluation pipeline: one
 /// session answers P(lineage | evidence) queries submitted from any
-/// number of threads against one prepared circuit.
+/// number of threads, reading from one *snapshot source*:
 ///
-///   ServingSession serving = ServingSession::Over(session);
-///   std::future<EngineResult> f = serving.Submit(lineage);
-///   ... f.get().value ...
+/// - a **static source** — one prepared circuit and registry, with a
+///   plan cache the session owns. Keys are lineage gate ids:
 ///
-/// Internally: a work-stealing TaskScheduler executes the queries, a
-/// ConcurrentPlanCache (inside a thread-safe JunctionTreeEngine with
-/// plan caching) compiles each distinct lineage exactly once across all
-/// threads, and per-worker scratch arenas make the steady-state numeric
-/// pass allocation-free. A coalescing intake groups submissions that
-/// arrive together, optionally answering same-evidence groups in one
-/// shared batched message pass.
+///     ServingSession serving = ServingSession::Over(session);
+///     std::future<EngineResult> f = serving.Submit(lineage);
 ///
-/// Phase contract (the compile-once / evaluate-many split, applied to
-/// threading): *growing* the circuit — lineage construction via
-/// QuerySession::CqLineage and friends — is single-threaded and must be
-/// quiescent before serving starts; Submit takes already-built lineage
-/// gates. Estimation itself never mutates the circuit, which is what
-/// makes the serving phase embarrassingly shareable. The circuit and
-/// registry must outlive the session.
+/// - an **epoch source** — the SessionSnapshots an IncrementalSession
+///   writer publishes through an EpochManager while it keeps applying
+///   updates. Keys are registered query indices (the order of Register*
+///   calls), which stay stable across epochs while a structural update
+///   may move a query to a new root gate.
+///
+/// A static source is the epoch case with one epoch that never
+/// advances, so both run one path: Submit prices the query and admits
+/// or sheds it, a coalescing drain fans the queued queries out across a
+/// work-stealing TaskScheduler, and the worker that claims a query pins
+/// the source's snapshot once, resolves the key to a root in it,
+/// validates the request, checks cancellation and deadline, fetches
+/// the plan from the snapshot's ConcurrentPlanCache (each distinct root
+/// compiles exactly once across all threads) and runs it on its own
+/// scratch arena, so the steady-state numeric pass is allocation-free.
+/// Answers are bit-identical to sequential evaluation.
+///
+/// Epoch visibility: circuit, registry, plans and query roots are all
+/// read through the one pinned snapshot, so a query never observes a
+/// half-updated state however many epochs the writer publishes
+/// mid-query; the snapshot's shared_ptr keeps a superseded epoch alive
+/// until its last in-flight reader drains (see incremental/epoch.h).
+///
+/// Phase contract for a static source (the compile-once / evaluate-many
+/// split, applied to threading): *growing* the circuit — lineage
+/// construction via QuerySession::CqLineage and friends — is
+/// single-threaded and must be quiescent before serving starts; Submit
+/// takes already-built lineage gates. Estimation never mutates the
+/// circuit, which is what makes the serving phase shareable. The
+/// circuit and registry (or the epoch manager) must outlive the session.
 class ServingSession {
  public:
+  /// Most queued requests one drain task takes; the rest go to a
+  /// rescheduled drain.
+  static constexpr size_t kMaxCoalesce = 64;
+
+  /// Static source over `circuit` and `registry`.
   ServingSession(const BoolCircuit& circuit, const EventRegistry& registry,
                  const ServingOptions& options = {});
+  /// Epoch source: every query reads the epoch current when a worker
+  /// claims it. A query before the first Publish, or with an index the
+  /// epoch does not carry (a racing deregistration, a stale handle),
+  /// resolves to kInvalidArgument — an answer, not a crash.
+  explicit ServingSession(const incremental::EpochManager& epochs,
+                          const ServingOptions& options = {});
   ServingSession(const ServingSession&) = delete;
   ServingSession& operator=(const ServingSession&) = delete;
   /// Drains in-flight queries, then stops the workers.
@@ -120,18 +135,19 @@ class ServingSession {
   static ServingSession Over(TreeQuerySession& session,
                              const ServingOptions& options = {});
 
-  /// Enqueues one query; the future resolves to the same EngineResult a
-  /// direct JunctionTreeEngine::Estimate would return. Thread-safe;
-  /// blocks only under backpressure (more than queue_capacity queries
-  /// queued and unclaimed — never when called from a worker thread,
-  /// where blocking could live-lock the pool). If the session is
-  /// shutting down the future resolves to a std::runtime_error.
-  std::future<EngineResult> Submit(GateId lineage, Evidence evidence = {});
+  /// Enqueues one query. Thread-safe; blocks only under backpressure
+  /// (more than queue_capacity queries queued and unclaimed — never
+  /// when called from a worker thread, where blocking could live-lock
+  /// the pool). A malformed request (a key the source does not carry,
+  /// an evidence event unknown to the registry) resolves to
+  /// kInvalidArgument. If the session is shutting down the future
+  /// resolves to a std::runtime_error.
+  std::future<EngineResult> Submit(QueryKey key, Evidence evidence = {});
 
   /// As above with per-query governance: the deadline covers queue time
   /// plus execution (a query claimed after its deadline resolves
   /// kDeadlineExceeded without running), caps and cancellation are
-  /// checked at bag granularity inside the engine, and admission
+  /// checked at bag granularity inside the plan's pass, and admission
   /// control may shed the query up front with kRejected — when the
   /// queue is at shed_capacity, or when the cost model says the backlog
   /// already ahead of it will outlast its deadline (queue-time-aware
@@ -142,27 +158,28 @@ class ServingSession {
   /// ns-per-cell rate — so one queued 2^20-cell monster counts for what
   /// it costs, not for one "average query". A governed future therefore
   /// always resolves within the deadline plus one bag's slack.
-  std::future<EngineResult> Submit(GateId lineage, Evidence evidence,
+  std::future<EngineResult> Submit(QueryKey key, Evidence evidence,
                                    const QueryOptions& query);
 
   /// Synchronous evaluation on the calling thread, through the same
-  /// plan cache (the single-thread baseline, and an escape hatch for
-  /// callers that want no queueing).
-  EngineResult Evaluate(GateId lineage, const Evidence& evidence = {});
-
-  /// Synchronous governed evaluation (no queue, so no admission
-  /// control: the budget's caps/deadline/token apply directly).
-  EngineResult Evaluate(GateId lineage, const Evidence& evidence,
+  /// plan cache and validation (no queue, so no admission control: the
+  /// budget's caps/deadline/token apply directly). A caller thread
+  /// reuses one scratch arena across calls.
+  EngineResult Evaluate(QueryKey key, const Evidence& evidence = {});
+  EngineResult Evaluate(QueryKey key, const Evidence& evidence,
                         const QueryOptions& query);
 
-  /// Compiles the plan for `lineage` now, so serving traffic never pays
-  /// its cold Build.
-  void Prewarm(GateId lineage);
+  /// Compiles the plan for `key` in the current snapshot now, so
+  /// serving traffic never pays its cold Build (an epoch source's
+  /// published snapshots come prewarmed already).
+  void Prewarm(QueryKey key);
 
   /// Blocks until every submitted query has resolved.
   void Drain();
 
-  /// The shared plan cache (builds()/size(): build-once diagnostics).
+  /// The static source's plan cache (builds()/size(): build-once
+  /// diagnostics). An epoch source has one cache per snapshot instead;
+  /// calling this on it is a checked error.
   const ConcurrentPlanCache& plan_cache() const;
 
   TaskScheduler& scheduler() { return scheduler_; }
@@ -187,8 +204,10 @@ class ServingSession {
                          unsigned workers, int64_t headroom_ns);
 
  private:
+  using Snapshot = incremental::SessionSnapshot;
+
   struct Request {
-    GateId root;
+    QueryKey key;
     Evidence evidence;
     std::promise<EngineResult> promise;
     QueryBudget budget;  ///< Unlimited unless submitted with options.
@@ -200,29 +219,41 @@ class ServingSession {
     uint64_t charged_cells = 0;
   };
 
-  EngineResult RunGoverned(const Request& request);
+  /// The snapshot a query reads: the fixed one of a static source, or
+  /// the epoch current now (null before the first Publish).
+  std::shared_ptr<const Snapshot> Pin() const;
+  /// The root `key` names in `snapshot`, or kInvalidGate when the
+  /// source does not carry it.
+  GateId RootOf(const Snapshot& snapshot, QueryKey key) const;
+  /// The one query path: pin, resolve, validate, check budget, fetch
+  /// the plan, execute on this thread's scratch arena. When the plan
+  /// built, `plan_cells` (if non-null) receives its total_cells().
+  EngineResult Run(QueryKey key, const Evidence& evidence,
+                   const QueryBudget& budget, uint64_t* plan_cells) const;
   /// Resolves (QueryOptions, session defaults) into a concrete budget,
   /// stamping the deadline now — queue time counts against it.
   QueryBudget MakeBudget(const QueryOptions& query) const;
   /// Executes one request on a worker, with per-task exception
-  /// containment (a throw fails this future only).
+  /// containment (a throw fails this future only), and calibrates the
+  /// admission cost model from its service time.
   void Fulfil(const std::shared_ptr<Request>& request);
-  /// The drain task: moves out pending requests, groups them by
-  /// evidence, and fans the groups out across the pool.
+  /// The drain task: moves out up to kMaxCoalesce pending requests and
+  /// fans them out across the pool.
   void DrainPending();
   /// Resolves the request's future to a shutdown error (the scheduler
   /// rejected the work because shutdown has begun) and releases its
-  /// in-flight slot.
+  /// backlog charge.
   void FailRequest(const std::shared_ptr<Request>& request);
   /// Fails every queued request and clears drain_scheduled_ — the
   /// recovery path when scheduling a drain task is rejected.
   void FailAllPending();
 
-  const BoolCircuit* circuit_;
-  const EventRegistry* registry_;
+  /// Epoch source (null for a static source).
+  const incremental::EpochManager* epochs_ = nullptr;
+  /// Static source: a fixed snapshot over the caller's circuit and
+  /// registry, owning its plan cache (null for an epoch source).
+  std::shared_ptr<const Snapshot> fixed_;
   ServingOptions options_;
-  /// Thread-safe cached-plan estimator shared by all workers.
-  JunctionTreeEngine engine_;
 
   std::mutex pending_mu_;
   std::condition_variable pending_not_full_;
@@ -239,85 +270,11 @@ class ServingSession {
   std::atomic<uint64_t> ewma_cells_{0};
   /// Σ charged_cells of queries queued or in flight.
   std::atomic<uint64_t> backlog_cells_{0};
-  /// Queries queued or in flight (shed_capacity's depth input; the
-  /// scheduler's own outstanding count also covers drain bookkeeping
-  /// tasks, which would inflate the estimate).
-  std::atomic<uint64_t> in_flight_{0};
   /// Engine throws contained by Fulfil (see failed_tasks()).
   std::atomic<uint64_t> failed_queries_{0};
 
-  /// Last member: destroyed (drained + joined) first, while the engine
-  /// and circuit its tasks use are still alive.
-  TaskScheduler scheduler_;
-};
-
-/// The serving front-end for *maintained* instances: answers queries
-/// against whatever epoch an IncrementalSession writer has most
-/// recently published, while the writer keeps applying updates and
-/// publishing new epochs concurrently.
-///
-/// Each query grabs the current SessionSnapshot exactly once (one
-/// acquire load) and evaluates entirely inside it — circuit, registry,
-/// plan cache, and query roots all come from the same snapshot, so a
-/// reader can never observe a half-updated state, no matter how many
-/// epochs the writer publishes mid-query. The snapshot's shared_ptr
-/// keeps a superseded epoch alive until its last in-flight reader
-/// drains (see incremental/epoch.h).
-///
-/// Queries are addressed by *registered query index* (the order of
-/// Register* calls on the IncrementalSession), not by gate id: gate ids
-/// are epoch-relative — a structural update can move a query to a new
-/// root — while the query index is stable across epochs.
-///
-/// At least one epoch must be published before the first query; the
-/// manager must outlive the session.
-class EpochedServingSession {
- public:
-  explicit EpochedServingSession(const incremental::EpochManager& epochs,
-                                 const ServingOptions& options = {});
-  EpochedServingSession(const EpochedServingSession&) = delete;
-  EpochedServingSession& operator=(const EpochedServingSession&) = delete;
-  /// Drains in-flight queries, then stops the workers.
-  ~EpochedServingSession() = default;
-
-  /// Enqueues one query against the then-current epoch (the snapshot is
-  /// grabbed by the worker when the query runs). Thread-safe; blocks
-  /// only under backpressure. If the session is shutting down the
-  /// future resolves to a std::runtime_error. A query index not
-  /// registered in the epoch it runs against (or no epoch published
-  /// yet) resolves to a kInvalidArgument result, not an exception — a
-  /// racing deregistration is a normal answer, not a crash.
-  std::future<EngineResult> Submit(size_t query_index, Evidence evidence = {});
-
-  /// As above with per-query governance (deadline stamped at submit, so
-  /// queue time counts; caps and cancellation checked at bag
-  /// granularity inside the governed plan execution).
-  std::future<EngineResult> Submit(size_t query_index, Evidence evidence,
-                                   const QueryOptions& query);
-
-  /// Synchronous evaluation on the calling thread against the current
-  /// epoch.
-  EngineResult Evaluate(size_t query_index, const Evidence& evidence = {});
-  EngineResult Evaluate(size_t query_index, const Evidence& evidence,
-                        const QueryOptions& query);
-
-  /// Blocks until every submitted query has resolved.
-  void Drain();
-
-  TaskScheduler& scheduler() { return scheduler_; }
-  unsigned num_threads() const { return scheduler_.num_threads(); }
-
- private:
-  EngineResult RunOne(size_t query_index, const Evidence& evidence,
-                      const QueryBudget& budget) const;
-  QueryBudget MakeBudget(const QueryOptions& query) const;
-  std::future<EngineResult> SubmitImpl(
-      size_t query_index, Evidence evidence, QueryBudget budget,
-      std::shared_ptr<const CancelToken> cancel);
-
-  const incremental::EpochManager* epochs_;
-  double default_deadline_ms_;
-  /// Last member: destroyed (drained + joined) first.
+  /// Last member: destroyed (drained + joined) first, while the
+  /// snapshot its tasks use is still alive.
   TaskScheduler scheduler_;
 };
 

@@ -61,8 +61,6 @@ struct QueryBudget {
   uint32_t max_samples = 0;
   const CancelToken* cancel = nullptr;
 
-  bool operator==(const QueryBudget&) const = default;
-
   bool has_deadline() const {
     return deadline != std::chrono::steady_clock::time_point::max();
   }

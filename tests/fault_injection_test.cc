@@ -16,6 +16,8 @@
 //  - ServingSession / TaskScheduler shutdown with in-flight and queued
 //    work under per-bag delays resolves every future (no hang, no
 //    leak — ASan and TSan run this file in CI).
+// The ServingSession cases run over both snapshot sources (static and
+// epoch).
 //
 // Every test skips when the hooks are compiled out (default build).
 
@@ -33,6 +35,7 @@
 #include "inference/junction_tree.h"
 #include "queries/query_session.h"
 #include "serving/server.h"
+#include "serving_sources.h"
 #include "uncertain/c_instance.h"
 #include "uncertain/tid_instance.h"
 #include "util/budget.h"
@@ -46,11 +49,16 @@ namespace {
 using serving::QueryOptions;
 using serving::ServingOptions;
 using serving::ServingSession;
+using testing::kSources;
+using testing::Reach;
+using testing::ServedQueries;
+using testing::Source;
 
 constexpr uint64_t kGenerousCells = uint64_t{1} << 40;
 
 struct LadderFixture {
   QuerySession session;
+  std::vector<Reach> reaches;  // (source, target) per lineage.
   std::vector<GateId> lineages;
   std::vector<double> expected;
 };
@@ -58,11 +66,12 @@ struct LadderFixture {
 LadderFixture MakeLadder(uint32_t rungs, uint32_t num_lineages) {
   Rng rng(11);
   TidInstance tid = workloads::LadderTid(rng, rungs);
-  LadderFixture f{QuerySession::FromCInstance(tid.ToPcInstance()), {}, {}};
+  LadderFixture f{QuerySession::FromCInstance(tid.ToPcInstance()), {}, {}, {}};
   for (uint32_t i = 0; i < num_lineages; ++i) {
     uint32_t source = i % 3;
     uint32_t target = 2 * rungs - 2 - (i % 5);
     if (source == target) target = 2 * rungs - 2;
+    f.reaches.push_back({source, target});
     f.lineages.push_back(f.session.ReachabilityLineage(0, source, target));
   }
   // Ground truth before any fault is armed.
@@ -80,88 +89,97 @@ LadderFixture MakeLadder(uint32_t rungs, uint32_t num_lineages) {
 TEST(FaultInjectionTest, AllocFailuresFailOnlyTheirQueries) {
   if (!fault::kEnabled) GTEST_SKIP() << "built without TUD_FAULT_INJECTION";
   LadderFixture f = MakeLadder(/*rungs=*/12, /*num_lineages=*/6);
-  ServingOptions options;
-  options.num_threads = 2;
-  ServingSession serving(f.session.pcc().circuit(), f.session.pcc().events(),
-                         options);
-  // Warm every plan first: the faults under test are execution-time
-  // arena faults, not cold-build faults.
-  for (GateId lineage : f.lineages) serving.Prewarm(lineage);
+  const size_t n = f.lineages.size();
+  for (Source source : kSources) {
+    SCOPED_TRACE(testing::SourceName(source));
+    ServingOptions options;
+    options.num_threads = 2;
+    ServedQueries served(source, f.session, f.reaches, options);
+    ServingSession& serving = served.serving();
+    // Warm every plan first: the faults under test are execution-time
+    // arena faults, not cold-build faults.
+    for (size_t i = 0; i < n; ++i) serving.Prewarm(served.key(i));
 
-  constexpr size_t kQueries = 240;
-  size_t failed = 0, ok = 0;
-  {
-    fault::Config config;
-    config.alloc_failure_probability = 0.2;
-    config.seed = 7;
-    fault::ScopedFaultInjection scope(config);
+    constexpr size_t kQueries = 240;
+    size_t failed = 0, ok = 0;
+    {
+      fault::Config config;
+      config.alloc_failure_probability = 0.2;
+      config.seed = 7;
+      fault::ScopedFaultInjection scope(config);
 
-    std::vector<std::future<EngineResult>> futures;
-    futures.reserve(kQueries);
-    for (size_t q = 0; q < kQueries; ++q)
-      futures.push_back(serving.Submit(f.lineages[q % f.lineages.size()]));
-    serving.Drain();
+      std::vector<std::future<EngineResult>> futures;
+      futures.reserve(kQueries);
+      for (size_t q = 0; q < kQueries; ++q)
+        futures.push_back(serving.Submit(served.key(q % n)));
+      serving.Drain();
 
-    for (size_t q = 0; q < kQueries; ++q) {
-      try {
-        EngineResult r = futures[q].get();
-        ASSERT_EQ(r.status, EngineStatus::kOk);
-        // A query the fault missed is untouched: exact bits.
-        EXPECT_EQ(r.value, f.expected[q % f.lineages.size()]) << "query " << q;
-        ++ok;
-      } catch (const std::bad_alloc&) {
-        ++failed;
+      for (size_t q = 0; q < kQueries; ++q) {
+        try {
+          EngineResult r = futures[q].get();
+          ASSERT_EQ(r.status, EngineStatus::kOk);
+          // A query the fault missed is untouched: exact bits.
+          EXPECT_EQ(r.value, f.expected[q % n]) << "query " << q;
+          ++ok;
+        } catch (const std::bad_alloc&) {
+          ++failed;
+        }
       }
+      EXPECT_EQ(fault::AllocationFailures(), failed);
     }
-    EXPECT_EQ(fault::AllocationFailures(), failed);
-  }
-  // At p=0.2 over 240 queries both outcomes occur (deterministic seed).
-  EXPECT_GT(failed, 0u);
-  EXPECT_GT(ok, 0u);
-  EXPECT_EQ(serving.failed_tasks(), failed);
+    // At p=0.2 over 240 queries both outcomes occur (deterministic seed).
+    EXPECT_GT(failed, 0u);
+    EXPECT_GT(ok, 0u);
+    EXPECT_EQ(serving.failed_tasks(), failed);
 
-  // The workers survived their queries' failures: the session serves
-  // every lineage exactly once the faults are gone.
-  std::vector<std::future<EngineResult>> after;
-  for (GateId lineage : f.lineages) after.push_back(serving.Submit(lineage));
-  serving.Drain();
-  for (size_t i = 0; i < after.size(); ++i) {
-    EngineResult r = after[i].get();
-    EXPECT_EQ(r.status, EngineStatus::kOk);
-    EXPECT_EQ(r.value, f.expected[i]);
+    // The workers survived their queries' failures: the session serves
+    // every lineage exactly once the faults are gone.
+    std::vector<std::future<EngineResult>> after;
+    for (size_t i = 0; i < n; ++i)
+      after.push_back(serving.Submit(served.key(i)));
+    serving.Drain();
+    for (size_t i = 0; i < after.size(); ++i) {
+      EngineResult r = after[i].get();
+      EXPECT_EQ(r.status, EngineStatus::kOk);
+      EXPECT_EQ(r.value, f.expected[i]);
+    }
+    EXPECT_EQ(serving.failed_tasks(), failed);  // No new failures.
   }
-  EXPECT_EQ(serving.failed_tasks(), failed);  // No new failures.
 }
 
 // Forced cancellation points trip only governed execution: a governed
 // query's BudgetMeter polls the hook at bag granularity and returns a
-// typed kCancelled; ungoverned queries never construct a meter and stay
-// bit-exact even at cancel_probability = 1.
+// typed kCancelled; an unlimited budget's meter returns before the hook,
+// so ungoverned queries stay bit-exact even at cancel_probability = 1.
 TEST(FaultInjectionTest, ForcedCancelTripsOnlyGovernedQueries) {
   if (!fault::kEnabled) GTEST_SKIP() << "built without TUD_FAULT_INJECTION";
   LadderFixture f = MakeLadder(12, 4);
-  ServingOptions options;
-  options.num_threads = 2;
-  ServingSession serving(f.session.pcc().circuit(), f.session.pcc().events(),
-                         options);
-  for (GateId lineage : f.lineages) serving.Prewarm(lineage);
+  for (Source source : kSources) {
+    SCOPED_TRACE(testing::SourceName(source));
+    ServingOptions options;
+    options.num_threads = 2;
+    ServedQueries served(source, f.session, f.reaches, options);
+    ServingSession& serving = served.serving();
+    for (size_t i = 0; i < f.lineages.size(); ++i)
+      serving.Prewarm(served.key(i));
 
-  fault::Config config;
-  config.cancel_probability = 1.0;
-  config.seed = 3;
-  fault::ScopedFaultInjection scope(config);
+    fault::Config config;
+    config.cancel_probability = 1.0;
+    config.seed = 3;
+    fault::ScopedFaultInjection scope(config);
 
-  QueryOptions governed;
-  governed.max_table_cells = kGenerousCells;  // Governed, generous cap.
-  for (size_t i = 0; i < f.lineages.size(); ++i) {
-    EngineResult g =
-        serving.Submit(f.lineages[i], /*evidence=*/{}, governed).get();
-    EXPECT_EQ(g.status, EngineStatus::kCancelled) << "lineage " << i;
-    EXPECT_EQ(g.error_bound, 1.0);
+    QueryOptions governed;
+    governed.max_table_cells = kGenerousCells;  // Governed, generous cap.
+    for (size_t i = 0; i < f.lineages.size(); ++i) {
+      EngineResult g =
+          serving.Submit(served.key(i), /*evidence=*/{}, governed).get();
+      EXPECT_EQ(g.status, EngineStatus::kCancelled) << "lineage " << i;
+      EXPECT_EQ(g.error_bound, 1.0);
 
-    EngineResult u = serving.Submit(f.lineages[i]).get();
-    EXPECT_EQ(u.status, EngineStatus::kOk);
-    EXPECT_EQ(u.value, f.expected[i]);
+      EngineResult u = serving.Submit(served.key(i)).get();
+      EXPECT_EQ(u.status, EngineStatus::kOk);
+      EXPECT_EQ(u.value, f.expected[i]);
+    }
   }
 }
 
@@ -195,7 +213,7 @@ TEST(FaultInjectionTest, EpochChurnUnderDelayAndForcedCancel) {
 
   ServingOptions options;
   options.num_threads = 2;
-  serving::EpochedServingSession serving(epochs, options);
+  ServingSession serving(epochs, options);
 
   fault::Config config;
   config.per_bag_delay_us = 20;
@@ -247,38 +265,40 @@ TEST(FaultInjectionTest, EpochChurnUnderDelayAndForcedCancel) {
 TEST(FaultInjectionTest, ShutdownWithInFlightAndQueuedWork) {
   if (!fault::kEnabled) GTEST_SKIP() << "built without TUD_FAULT_INJECTION";
   LadderFixture f = MakeLadder(10, 4);
+  for (Source source : kSources) {
+    SCOPED_TRACE(testing::SourceName(source));
+    fault::Config config;
+    config.per_bag_delay_us = 100;  // Guarantees a deep queue at shutdown.
+    config.alloc_failure_probability = 0.05;
+    config.seed = 13;
+    fault::ScopedFaultInjection scope(config);
 
-  fault::Config config;
-  config.per_bag_delay_us = 100;  // Guarantees a deep queue at shutdown.
-  config.alloc_failure_probability = 0.05;
-  config.seed = 13;
-  fault::ScopedFaultInjection scope(config);
-
-  std::vector<std::future<EngineResult>> futures;
-  {
-    ServingOptions options;
-    options.num_threads = 2;
-    ServingSession serving(f.session.pcc().circuit(),
-                           f.session.pcc().events(), options);
-    for (size_t q = 0; q < 60; ++q)
-      futures.push_back(serving.Submit(f.lineages[q % f.lineages.size()]));
-    // No Drain(): the destructor meets queued + in-flight work head on.
-  }
-  size_t ok = 0;
-  for (auto& future : futures) {
-    ASSERT_EQ(future.wait_for(std::chrono::seconds(0)),
-              std::future_status::ready);
-    try {
-      EngineResult r = future.get();
-      EXPECT_EQ(r.status, EngineStatus::kOk);
-      ++ok;
-    } catch (const std::bad_alloc&) {
-      // Injected per-query failure: contained, see above.
-    } catch (const std::runtime_error&) {
-      // Shutdown rejection: typed, not a hang.
+    std::vector<std::future<EngineResult>> futures;
+    {
+      ServingOptions options;
+      options.num_threads = 2;
+      ServedQueries served(source, f.session, f.reaches, options);
+      for (size_t q = 0; q < 60; ++q)
+        futures.push_back(
+            served.serving().Submit(served.key(q % f.lineages.size())));
+      // No Drain(): the destructor meets queued + in-flight work head on.
     }
+    size_t ok = 0;
+    for (auto& future : futures) {
+      ASSERT_EQ(future.wait_for(std::chrono::seconds(0)),
+                std::future_status::ready);
+      try {
+        EngineResult r = future.get();
+        EXPECT_EQ(r.status, EngineStatus::kOk);
+        ++ok;
+      } catch (const std::bad_alloc&) {
+        // Injected per-query failure: contained, see above.
+      } catch (const std::runtime_error&) {
+        // Shutdown rejection: typed, not a hang.
+      }
+    }
+    EXPECT_GT(ok, 0u);  // The destructor drained real work, not nothing.
   }
-  EXPECT_GT(ok, 0u);  // The destructor drained real work, not nothing.
 }
 
 // Same shutdown contract one layer down: a raw TaskScheduler destroyed

@@ -6,9 +6,10 @@
 //    hybrid/sampling with an honest error_bound and stats.degradations
 //    — instead of surfacing the trip;
 //  - ServingSession per-query deadlines, cancellation, typed load
-//    shedding (kRejected) and queue-time-aware admission;
-//  - EpochedServingSession answers malformed/governed queries with
-//    statuses, never exceptions;
+//    shedding (kRejected), queue-time-aware admission and request
+//    validation, over both snapshot sources (static and epoch);
+//  - an epoch source answers malformed/governed queries with statuses,
+//    never exceptions;
 //  - IncrementalSession's governed Probability trips recoverably;
 //  - a plan that fails to build is a typed status on every
 //    default-budget path too (one budgeted path per mode, no aborting
@@ -35,6 +36,7 @@
 #include "queries/query_session.h"
 #include "serving/scheduler.h"
 #include "serving/server.h"
+#include "serving_sources.h"
 #include "uncertain/c_instance.h"
 #include "uncertain/tid_instance.h"
 #include "util/budget.h"
@@ -48,6 +50,9 @@ using serving::QueryOptions;
 using serving::ServingOptions;
 using serving::ServingSession;
 using serving::TaskScheduler;
+using testing::kSources;
+using testing::ServedQueries;
+using testing::Source;
 
 constexpr uint64_t kGenerousCells = uint64_t{1} << 40;
 
@@ -63,6 +68,13 @@ LadderFixture MakeLadder(uint32_t rungs = 14) {
                   kInvalidGate};
   f.lineage = f.session.ReachabilityLineage(0, 0, 2 * rungs - 2);
   return f;
+}
+
+// MakeLadder's query, served from `source`.
+ServedQueries ServeLadder(Source source, LadderFixture& f,
+                          const ServingOptions& options,
+                          uint32_t rungs = 14) {
+  return ServedQueries(source, f.session, {{0, 2 * rungs - 2}}, options);
 }
 
 // ---------------------------------------------------------------------------
@@ -227,7 +239,7 @@ TEST(GovernedEngineTest, FailedPlanOnDefaultBudgetPathsIsTypedStatus) {
 
   incremental::EpochManager epochs;
   inc.PublishSnapshot(epochs);
-  serving::EpochedServingSession epoched(epochs, options);
+  ServingSession epoched(epochs, options);
   EXPECT_EQ(epoched.Submit(q).get().status, EngineStatus::kResourceExhausted);
   epoched.Drain();
 
@@ -510,46 +522,81 @@ TEST(IncrementalGovernanceTest, GovernedProbabilityTripsRecoverably) {
 
 TEST(ServingGovernanceTest, SubmitWithBudgetMatchesWithout) {
   LadderFixture f = MakeLadder();
-  ServingOptions options;
-  options.num_threads = 2;
-  ServingSession serving = ServingSession::Over(f.session, options);
-  const double expected = serving.Evaluate(f.lineage).value;
+  for (Source source : kSources) {
+    SCOPED_TRACE(testing::SourceName(source));
+    ServingOptions options;
+    options.num_threads = 2;
+    ServedQueries served = ServeLadder(source, f, options);
+    ServingSession& serving = served.serving();
+    const double expected = serving.Evaluate(served.key(0)).value;
 
-  QueryOptions query;
-  query.deadline_ms = 60000;  // A deadline this query cannot miss.
-  query.max_table_cells = kGenerousCells;
-  EngineResult r = serving.Submit(f.lineage, {}, query).get();
-  EXPECT_EQ(r.status, EngineStatus::kOk);
-  EXPECT_EQ(r.value, expected);
-  serving.Drain();
+    QueryOptions query;
+    query.deadline_ms = 60000;  // A deadline this query cannot miss.
+    query.max_table_cells = kGenerousCells;
+    EngineResult r = serving.Submit(served.key(0), {}, query).get();
+    EXPECT_EQ(r.status, EngineStatus::kOk);
+    EXPECT_EQ(r.value, expected);
+    serving.Drain();
+  }
 }
 
 TEST(ServingGovernanceTest, CellCapReturnsResourceExhausted) {
   LadderFixture f = MakeLadder();
-  ServingOptions options;
-  options.num_threads = 2;
-  ServingSession serving = ServingSession::Over(f.session, options);
-  QueryOptions query;
-  query.max_table_cells = 1;
-  EXPECT_EQ(serving.Evaluate(f.lineage, {}, query).status,
-            EngineStatus::kResourceExhausted);
-  EXPECT_EQ(serving.Submit(f.lineage, {}, query).get().status,
-            EngineStatus::kResourceExhausted);
-  serving.Drain();
+  for (Source source : kSources) {
+    SCOPED_TRACE(testing::SourceName(source));
+    ServingOptions options;
+    options.num_threads = 2;
+    ServedQueries served = ServeLadder(source, f, options);
+    ServingSession& serving = served.serving();
+    QueryOptions query;
+    query.max_table_cells = 1;
+    EXPECT_EQ(serving.Evaluate(served.key(0), {}, query).status,
+              EngineStatus::kResourceExhausted);
+    EXPECT_EQ(serving.Submit(served.key(0), {}, query).get().status,
+              EngineStatus::kResourceExhausted);
+    serving.Drain();
+  }
 }
 
 TEST(ServingGovernanceTest, CancelledBeforeSubmitResolvesCancelled) {
   LadderFixture f = MakeLadder();
-  ServingOptions options;
-  options.num_threads = 2;
-  ServingSession serving = ServingSession::Over(f.session, options);
-  QueryOptions query;
-  auto token = std::make_shared<CancelToken>();
-  token->Cancel();
-  query.cancel = token;
-  EngineResult r = serving.Submit(f.lineage, {}, query).get();
-  EXPECT_EQ(r.status, EngineStatus::kCancelled);
-  serving.Drain();
+  for (Source source : kSources) {
+    SCOPED_TRACE(testing::SourceName(source));
+    ServingOptions options;
+    options.num_threads = 2;
+    ServedQueries served = ServeLadder(source, f, options);
+    ServingSession& serving = served.serving();
+    QueryOptions query;
+    auto token = std::make_shared<CancelToken>();
+    token->Cancel();
+    query.cancel = token;
+    EngineResult r = serving.Submit(served.key(0), {}, query).get();
+    EXPECT_EQ(r.status, EngineStatus::kCancelled);
+    serving.Drain();
+  }
+}
+
+// Evidence naming an event the registry does not know is a malformed
+// request on both sources: kInvalidArgument from Submit and Evaluate,
+// never an answer with the pin silently dropped.
+TEST(ServingGovernanceTest, UnknownEvidenceEventIsInvalidArgument) {
+  constexpr uint32_t kRungs = 10;
+  LadderFixture f = MakeLadder(kRungs);
+  const Evidence unknown = {
+      {static_cast<EventId>(f.session.pcc().events().size() + 5), true}};
+  for (Source source : kSources) {
+    SCOPED_TRACE(testing::SourceName(source));
+    ServingOptions options;
+    options.num_threads = 2;
+    ServedQueries served = ServeLadder(source, f, options, kRungs);
+    ServingSession& serving = served.serving();
+    EXPECT_EQ(serving.Submit(served.key(0), unknown).get().status,
+              EngineStatus::kInvalidArgument);
+    EXPECT_EQ(serving.Evaluate(served.key(0), unknown).status,
+              EngineStatus::kInvalidArgument);
+    EXPECT_EQ(serving.Submit(served.key(0)).get().status, EngineStatus::kOk);
+    serving.Drain();
+  }
 }
 
 // Deterministic shed test: one worker is pinned on a latch, so the
@@ -557,26 +604,29 @@ TEST(ServingGovernanceTest, CancelledBeforeSubmitResolvesCancelled) {
 // submission must be rejected typed and immediately.
 TEST(ServingGovernanceTest, ShedCapacityRejectsTyped) {
   LadderFixture f = MakeLadder();
-  ServingOptions options;
-  options.num_threads = 1;
-  options.coalesce = true;
-  options.shed_capacity = 1;
-  ServingSession serving = ServingSession::Over(f.session, options);
+  for (Source source : kSources) {
+    SCOPED_TRACE(testing::SourceName(source));
+    ServingOptions options;
+    options.num_threads = 1;
+    options.shed_capacity = 1;
+    ServedQueries served = ServeLadder(source, f, options);
+    ServingSession& serving = served.serving();
 
-  std::promise<void> release;
-  std::shared_future<void> released = release.get_future().share();
-  ASSERT_TRUE(serving.scheduler().Submit([released] { released.wait(); }));
+    std::promise<void> release;
+    std::shared_future<void> released = release.get_future().share();
+    ASSERT_TRUE(serving.scheduler().Submit([released] { released.wait(); }));
 
-  std::future<EngineResult> first = serving.Submit(f.lineage);
-  std::future<EngineResult> second = serving.Submit(f.lineage);
-  // The shed future is already resolved — before any worker ran it.
-  ASSERT_EQ(second.wait_for(std::chrono::seconds(0)),
-            std::future_status::ready);
-  EXPECT_EQ(second.get().status, EngineStatus::kRejected);
+    std::future<EngineResult> first = serving.Submit(served.key(0));
+    std::future<EngineResult> second = serving.Submit(served.key(0));
+    // The shed future is already resolved — before any worker ran it.
+    ASSERT_EQ(second.wait_for(std::chrono::seconds(0)),
+              std::future_status::ready);
+    EXPECT_EQ(second.get().status, EngineStatus::kRejected);
 
-  release.set_value();
-  serving.Drain();
-  EXPECT_EQ(first.get().status, EngineStatus::kOk);
+    release.set_value();
+    serving.Drain();
+    EXPECT_EQ(first.get().status, EngineStatus::kOk);
+  }
 }
 
 // The pure admission decision: backlog is priced in table cells
@@ -608,38 +658,41 @@ TEST(ServingGovernanceTest, ShouldShedPricesBacklogPerPlan) {
 // backlog will certainly outlast is rejected at the door in O(1).
 TEST(ServingGovernanceTest, QueueAwareAdmissionRejectsInfeasibleDeadline) {
   LadderFixture f = MakeLadder();
-  ServingOptions options;
-  options.num_threads = 1;
-  options.coalesce = true;
-  ServingSession serving = ServingSession::Over(f.session, options);
+  for (Source source : kSources) {
+    SCOPED_TRACE(testing::SourceName(source));
+    ServingOptions options;
+    options.num_threads = 1;
+    ServedQueries served = ServeLadder(source, f, options);
+    ServingSession& serving = served.serving();
 
-  // Warm the EWMA with one served query.
-  EXPECT_EQ(serving.Submit(f.lineage).get().status, EngineStatus::kOk);
+    // Warm the EWMA with one served query.
+    EXPECT_EQ(serving.Submit(served.key(0)).get().status, EngineStatus::kOk);
 
-  std::promise<void> release;
-  std::shared_future<void> released = release.get_future().share();
-  ASSERT_TRUE(serving.scheduler().Submit([released] { released.wait(); }));
-  std::vector<std::future<EngineResult>> queued;
-  for (int i = 0; i < 4; ++i) queued.push_back(serving.Submit(f.lineage));
+    std::promise<void> release;
+    std::shared_future<void> released = release.get_future().share();
+    ASSERT_TRUE(serving.scheduler().Submit([released] { released.wait(); }));
+    std::vector<std::future<EngineResult>> queued;
+    for (int i = 0; i < 4; ++i) queued.push_back(serving.Submit(served.key(0)));
 
-  QueryOptions query;
-  query.deadline_ms = 1e-4;  // 100ns: far below one EWMA service time.
-  std::future<EngineResult> doomed = serving.Submit(f.lineage, {}, query);
-  ASSERT_EQ(doomed.wait_for(std::chrono::seconds(0)),
-            std::future_status::ready);
-  EXPECT_EQ(doomed.get().status, EngineStatus::kRejected);
+    QueryOptions query;
+    query.deadline_ms = 1e-4;  // 100ns: far below one EWMA service time.
+    std::future<EngineResult> doomed = serving.Submit(served.key(0), {}, query);
+    ASSERT_EQ(doomed.wait_for(std::chrono::seconds(0)),
+              std::future_status::ready);
+    EXPECT_EQ(doomed.get().status, EngineStatus::kRejected);
 
-  release.set_value();
-  serving.Drain();
-  for (auto& future : queued)
-    EXPECT_EQ(future.get().status, EngineStatus::kOk);
+    release.set_value();
+    serving.Drain();
+    for (auto& future : queued)
+      EXPECT_EQ(future.get().status, EngineStatus::kOk);
+  }
 }
 
 // ---------------------------------------------------------------------------
-// EpochedServingSession governance
+// Epoch-source governance
 // ---------------------------------------------------------------------------
 
-TEST(EpochedGovernanceTest, StatusesInsteadOfExceptions) {
+TEST(EpochSourceGovernanceTest, StatusesInsteadOfExceptions) {
   constexpr uint32_t kRungs = 10;
   Rng rng(13);
   TidInstance tid = workloads::LadderTid(rng, kRungs);
@@ -653,14 +706,14 @@ TEST(EpochedGovernanceTest, StatusesInsteadOfExceptions) {
   options.num_threads = 2;
   {
     // No epoch yet: an answer, not a crash.
-    serving::EpochedServingSession early(epochs, options);
+    ServingSession early(epochs, options);
     EXPECT_EQ(early.Evaluate(q).status, EngineStatus::kInvalidArgument);
     early.Drain();
   }
   const double expected = inc.Probability(q).value;
   inc.PublishSnapshot(epochs);
 
-  serving::EpochedServingSession serving(epochs, options);
+  ServingSession serving(epochs, options);
   EXPECT_EQ(serving.Evaluate(q).value, expected);
   // An index the epoch does not carry.
   EXPECT_EQ(serving.Evaluate(q + 100).status,

@@ -10,7 +10,7 @@
 //    is invisible to recovery, and a bit flip on disk is always a typed
 //    kIoError, never a silently wrong answer;
 //  - recovered state plugs back into serving: PublishSnapshot +
-//    EpochedServingSession answers match the oracle.
+//    ServingSession answers over the epoch source match the oracle.
 
 #include <unistd.h>
 
@@ -413,7 +413,7 @@ TEST(CrashPointFuzzTest, MidLogBitFlipIsTypedIoError) {
 
 // Recovered state must plug straight back into the serving stack:
 // publish an epoch from the recovered session and answer through
-// EpochedServingSession, bit-identical to the oracle.
+// ServingSession over the epoch source, bit-identical to the oracle.
 TEST(RecoveredServingTest, RecoveredSessionServesEpochs) {
   const std::vector<Step> steps = Script();
   const std::string dir = FreshDir("serve");
@@ -441,7 +441,7 @@ TEST(RecoveredServingTest, RecoveredSessionServesEpochs) {
   OracleState oracle(steps.size());
   serving::ServingOptions options;
   options.num_threads = 2;
-  serving::EpochedServingSession serving(epochs, options);
+  serving::ServingSession serving(epochs, options);
   for (size_t q = 0; q < oracle.runner.queries.size(); ++q) {
     const EngineResult want =
         oracle.inc->Probability(oracle.runner.queries[q]);

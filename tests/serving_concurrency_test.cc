@@ -5,9 +5,10 @@
 //  - ConcurrentPlanCache builds each root exactly once under a
 //    thundering herd;
 //  - a shared JunctionTreeEngine and a ServingSession return results
-//    *bit-identical* to sequential evaluation from 8 threads, for both
-//    the direct and the coalescing intake, with and without evidence;
-//  - the shared_pass batched route agrees to rounding;
+//    *bit-identical* to sequential evaluation from 8 threads, over both
+//    snapshot sources (static and epoch), with and without evidence;
+//  - a burst larger than one drain's cap reschedules the drain and
+//    still resolves every future to the sequential bits;
 //  - an IncrementalSession writer publishing epochs races 7 reader
 //    threads without a reader ever observing a torn or stale-mixed
 //    snapshot (every answer matches some published epoch exactly).
@@ -28,6 +29,7 @@
 #include "queries/query_session.h"
 #include "serving/scheduler.h"
 #include "serving/server.h"
+#include "serving_sources.h"
 #include "uncertain/c_instance.h"
 #include "uncertain/tid_instance.h"
 #include "util/rng.h"
@@ -39,12 +41,17 @@ namespace {
 using serving::ServingOptions;
 using serving::ServingSession;
 using serving::TaskScheduler;
+using testing::kSources;
+using testing::Reach;
+using testing::ServedQueries;
+using testing::Source;
 
 // One prepared instance + a set of distinct reachability lineages, plus
 // the sequential ground truth for each (computed with a fresh engine,
 // exactly what a single-threaded QuerySession::Probability would do).
 struct Prepared {
   QuerySession session;
+  std::vector<Reach> reaches;             // (source, target) per lineage.
   std::vector<GateId> lineages;
   std::vector<Evidence> evidences;        // Parallel to `queries`.
   std::vector<uint32_t> queries;          // Lineage index per query.
@@ -55,13 +62,15 @@ Prepared PrepareLadder(uint32_t rungs, uint32_t num_lineages,
                        size_t num_queries) {
   Rng rng(11);
   TidInstance tid = workloads::LadderTid(rng, rungs);
-  Prepared p{QuerySession::FromCInstance(tid.ToPcInstance()), {}, {}, {}, {}};
+  Prepared p{QuerySession::FromCInstance(tid.ToPcInstance()), {}, {}, {}, {},
+             {}};
 
   // Distinct (source, target) pairs along the ladder's rails.
   for (uint32_t i = 0; i < num_lineages; ++i) {
     uint32_t source = i % 3;
     uint32_t target = 2 * rungs - 2 - (i % 5);
     if (source == target) target = 2 * rungs - 2;
+    p.reaches.push_back({source, target});
     p.lineages.push_back(p.session.ReachabilityLineage(0, source, target));
   }
 
@@ -235,17 +244,17 @@ TEST(ServingConcurrencyTest, ConcurrentEstimateBatchMatchesSequential) {
   for (auto& thread : threads) thread.join();
 }
 
-// The tentpole end-to-end check: a ServingSession fed a zipfian mix
-// from 8 submitter threads returns, for every single query, the exact
-// bits sequential evaluation produces.
+// The end-to-end check: a ServingSession fed a zipfian mix from 8
+// submitter threads returns, for every single query, the exact bits
+// sequential evaluation produces — from either snapshot source.
 TEST(ServingConcurrencyTest, ServingSessionBitIdenticalUnderLoad) {
   Prepared p = PrepareLadder(14, 10, 480);
-  for (bool coalesce : {false, true}) {
+  for (Source source : kSources) {
+    SCOPED_TRACE(testing::SourceName(source));
     ServingOptions options;
     options.num_threads = 4;
-    options.coalesce = coalesce;
-    ServingSession serving(p.session.pcc().circuit(), p.session.pcc().events(),
-                           options);
+    ServedQueries served(source, p.session, p.reaches, options);
+    ServingSession& serving = served.serving();
 
     std::vector<std::future<EngineResult>> futures(p.queries.size());
     constexpr unsigned kSubmitters = 8;
@@ -253,24 +262,26 @@ TEST(ServingConcurrencyTest, ServingSessionBitIdenticalUnderLoad) {
     for (unsigned t = 0; t < kSubmitters; ++t)
       submitters.emplace_back([&, t] {
         for (size_t q = t; q < p.queries.size(); q += kSubmitters)
-          futures[q] =
-              serving.Submit(p.lineages[p.queries[q]], p.evidences[q]);
+          futures[q] = serving.Submit(served.key(p.queries[q]), p.evidences[q]);
       });
     for (auto& thread : submitters) thread.join();
     serving.Drain();
 
     for (size_t q = 0; q < futures.size(); ++q) {
       EngineResult r = futures[q].get();
-      EXPECT_EQ(r.value, p.expected[q])
-          << (coalesce ? "coalesced" : "direct") << " query " << q;
+      EXPECT_EQ(r.value, p.expected[q]) << "query " << q;
       EXPECT_STREQ(r.engine, "junction_tree");
     }
-    // Build-once held end to end, and Evaluate (the synchronous path)
-    // agrees too.
-    EXPECT_EQ(serving.plan_cache().builds(), DistinctRoots(p));
+    EXPECT_EQ(serving.failed_tasks(), 0u);
+    // Build-once held end to end (an epoch source's snapshot comes
+    // prewarmed, with one cache per epoch).
+    if (source == Source::kStatic) {
+      EXPECT_EQ(serving.plan_cache().builds(), DistinctRoots(p));
+    }
     // Query 0's evidence is empty (the mix pins evidence on q % 3 == 1),
     // so the synchronous path must reproduce its exact bits too.
-    EXPECT_EQ(serving.Evaluate(p.lineages[p.queries[0]]).value, p.expected[0]);
+    EXPECT_EQ(serving.Evaluate(served.key(p.queries[0])).value,
+              p.expected[0]);
   }
 }
 
@@ -294,30 +305,6 @@ TEST(ServingConcurrencyTest, PrewarmMakesServingBuildFree) {
   EXPECT_EQ(serving.plan_cache().builds(), p.lineages.size());
 }
 
-// The shared-pass route answers a same-evidence group in one batched
-// message pass: equal to sequential up to summation order.
-TEST(ServingConcurrencyTest, SharedPassAgreesToRounding) {
-  Prepared p = PrepareLadder(14, 8, 0);
-  std::vector<double> expected;
-  for (GateId lineage : p.lineages)
-    expected.push_back(JunctionTreeProbability(
-        p.session.pcc().circuit(), lineage, p.session.pcc().events()));
-
-  ServingOptions options;
-  options.num_threads = 2;
-  options.coalesce = true;
-  options.shared_pass = true;
-  ServingSession serving(p.session.pcc().circuit(), p.session.pcc().events(),
-                         options);
-  for (int round = 0; round < 3; ++round) {
-    std::vector<std::future<EngineResult>> futures;
-    for (GateId lineage : p.lineages) futures.push_back(serving.Submit(lineage));
-    serving.Drain();
-    for (size_t i = 0; i < futures.size(); ++i)
-      EXPECT_NEAR(futures[i].get().value, expected[i], 1e-9);
-  }
-}
-
 // The coalescing intake honours queue_capacity too: with a tiny bound
 // and a flood of external submissions, Submit blocks (never drops), the
 // pending buffer stays bounded, and every future still resolves to the
@@ -326,9 +313,7 @@ TEST(ServingConcurrencyTest, CoalescingBackpressureBlocksNotDrops) {
   Prepared p = PrepareLadder(12, 6, 240);
   ServingOptions options;
   options.num_threads = 2;
-  options.coalesce = true;
   options.queue_capacity = 4;  // Far below the submission count.
-  options.max_coalesce = 2;
   ServingSession serving(p.session.pcc().circuit(), p.session.pcc().events(),
                          options);
 
@@ -344,6 +329,40 @@ TEST(ServingConcurrencyTest, CoalescingBackpressureBlocksNotDrops) {
   serving.Drain();
   for (size_t q = 0; q < futures.size(); ++q)
     EXPECT_EQ(futures[q].get().value, p.expected[q]) << "query " << q;
+}
+
+// A burst larger than one drain's cap: the single worker is pinned on a
+// latch, so every submission queues in the coalescing buffer; on
+// release the first drain takes kMaxCoalesce, reschedules itself for
+// the rest, and every future still resolves to the sequential bits.
+TEST(ServingConcurrencyTest, OversizedBurstReschedulesDrain) {
+  Prepared p = PrepareLadder(12, 6, 2 * ServingSession::kMaxCoalesce + 5);
+  for (Source source : kSources) {
+    SCOPED_TRACE(testing::SourceName(source));
+    ServingOptions options;
+    options.num_threads = 1;
+    ServedQueries served(source, p.session, p.reaches, options);
+    ServingSession& serving = served.serving();
+
+    std::promise<void> release;
+    std::shared_future<void> released = release.get_future().share();
+    ASSERT_TRUE(serving.scheduler().Submit([released] { released.wait(); }));
+    const uint64_t executed_before = serving.scheduler().stats().executed;
+
+    std::vector<std::future<EngineResult>> futures;
+    for (size_t q = 0; q < p.queries.size(); ++q)
+      futures.push_back(
+          serving.Submit(served.key(p.queries[q]), p.evidences[q]));
+    release.set_value();
+    serving.Drain();
+
+    for (size_t q = 0; q < futures.size(); ++q)
+      EXPECT_EQ(futures[q].get().value, p.expected[q]) << "query " << q;
+    // The latch, three drains (64 + 64 + 5 requests) and one task per
+    // query: the burst was split, not dropped or served twice.
+    EXPECT_EQ(serving.scheduler().stats().executed - executed_before,
+              1u + 3u + p.queries.size());
+  }
 }
 
 // The epoch stress: one writer thread keeps updating probabilities and
@@ -383,7 +402,7 @@ TEST(ServingConcurrencyTest, EpochPublicationStressEightThreads) {
 
   serving::ServingOptions options;
   options.num_threads = 2;
-  serving::EpochedServingSession serving(epochs, options);
+  ServingSession serving(epochs, options);
 
   std::atomic<bool> done{false};
   std::vector<std::thread> readers;
@@ -445,6 +464,7 @@ TEST(ServingConcurrencyTest, EpochPublicationStressEightThreads) {
   EXPECT_EQ(serving.Evaluate(0).value, expected[kEpochs][0]);
   EXPECT_EQ(serving.Evaluate(1).value, expected[kEpochs][1]);
   EXPECT_EQ(inc.stats().epochs_published, kEpochs);
+  EXPECT_EQ(serving.failed_tasks(), 0u);
 }
 
 }  // namespace

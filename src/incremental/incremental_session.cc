@@ -208,7 +208,7 @@ EngineResult IncrementalSession::Probability(QueryId query,
   result.engine = "incremental_jt";
   result.status = plan->ExecuteDelta(
       session_.pcc().events(), evidence, dirty_scratch_, q.delta,
-      &result.value, &result.stats, options_.delta_full_fraction, budget);
+      &result.value, &result.stats, kDeltaFullFraction, budget);
   if (!result.ok()) {
     // ExecuteDelta poisoned the delta state (a failed plan or a partial
     // repropagation is never persisted); the cursor already advanced,

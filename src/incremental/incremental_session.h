@@ -16,10 +16,11 @@
 namespace tud {
 namespace incremental {
 
+/// ExecuteDelta falls back to a full pass when more than this fraction
+/// of a plan's bags is dirty.
+inline constexpr double kDeltaFullFraction = 0.5;
+
 struct IncrementalOptions {
-  /// ExecuteDelta falls back to a full pass when more than this
-  /// fraction of a plan's bags is dirty.
-  double delta_full_fraction = 0.5;
   /// A repaired decomposition (patched elimination order, no order
   /// search) is accepted while its width stays within this many units
   /// of the last *search-derived* width — the width of the most recent

@@ -5,7 +5,6 @@
 #include <limits>
 #include <numeric>
 #include <optional>
-#include <thread>
 
 #include "bdd/bdd.h"
 #include "inference/conditioning.h"
@@ -256,10 +255,8 @@ static PlanScratch* ThreadScratch() {
   return &scratch;
 }
 
-JunctionTreeEngine::JunctionTreeEngine(bool cache_plans,
-                                       unsigned batch_threads)
-    : cache_plans_(cache_plans),
-      batch_threads_(batch_threads == 0 ? 1 : batch_threads) {
+JunctionTreeEngine::JunctionTreeEngine(bool cache_plans)
+    : cache_plans_(cache_plans) {
   if (cache_plans_) cache_ = std::make_unique<ConcurrentPlanCache>();
 }
 
@@ -307,43 +304,6 @@ std::vector<EngineResult> JunctionTreeEngine::EstimateBatchImpl(
     const QueryBudget& budget) {
   std::vector<EngineResult> results(roots.size());
   if (roots.empty()) return results;
-
-  if (batch_threads_ > 1) {
-    // Per-root plans executed across threads. Plans are built (and
-    // cached) up front; Execute is const and keeps all mutable state in
-    // a per-call arena, so the parallel section only reads.
-    std::vector<std::shared_ptr<const JunctionTreePlan>> owned;
-    std::vector<const JunctionTreePlan*> plans;
-    plans.reserve(roots.size());
-    if (cache_plans_) {
-      BindCircuit(circuit);
-      for (GateId root : roots) {
-        plans.push_back(cache_->GetOrBuild(circuit, root, budget));
-      }
-    } else {
-      owned.reserve(roots.size());
-      for (GateId root : roots) {
-        owned.push_back(std::make_shared<const JunctionTreePlan>(
-            JunctionTreePlan::Build(circuit, root, budget)));
-        plans.push_back(owned.back().get());
-      }
-    }
-    const size_t num_threads =
-        std::min<size_t>(batch_threads_, roots.size());
-    std::vector<std::thread> workers;
-    workers.reserve(num_threads);
-    for (size_t t = 0; t < num_threads; ++t) {
-      workers.emplace_back([&, t] {
-        for (size_t i = t; i < roots.size(); i += num_threads) {
-          results[i] = EstimateWithPlan(*plans[i], name(), registry,
-                                        evidence, ThreadScratch(), budget);
-          results[i].stats.batch_size = roots.size();
-        }
-      });
-    }
-    for (std::thread& w : workers) w.join();
-    return results;
-  }
 
   // The batch cost model (see the class comment): canonicalize the
   // battery, look the decision up, decide on a miss (whole-set cost

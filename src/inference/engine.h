@@ -223,9 +223,7 @@ class ExhaustiveEngine : public ProbabilityEngine {
 /// every result's EngineStats. The decision (with its built plans) is
 /// memoised per *canonical* root set — sorted and deduped, so permuted
 /// or duplicated batteries hit the same entry, with results mapped back
-/// to caller order — and evicted FIFO past kMaxBatchPlans. With
-/// `batch_threads > 1` it always executes per-root cached plans across
-/// that many threads instead.
+/// to caller order — and evicted FIFO past kMaxBatchPlans.
 ///
 /// Thread safety: `Estimate` and `EstimateBatch` may be called from any
 /// number of threads concurrently. The per-root memo is a
@@ -238,8 +236,7 @@ class ExhaustiveEngine : public ProbabilityEngine {
 /// see the QuerySession/ServingSession phase contract.
 class JunctionTreeEngine : public ProbabilityEngine {
  public:
-  explicit JunctionTreeEngine(bool cache_plans = false,
-                              unsigned batch_threads = 1);
+  explicit JunctionTreeEngine(bool cache_plans = false);
   ~JunctionTreeEngine() override;
   JunctionTreeEngine(const JunctionTreeEngine&) = delete;
   JunctionTreeEngine& operator=(const JunctionTreeEngine&) = delete;
@@ -276,7 +273,6 @@ class JunctionTreeEngine : public ProbabilityEngine {
   void BindCircuit(const BoolCircuit& circuit);
 
   bool cache_plans_;
-  unsigned batch_threads_;
   std::atomic<const BoolCircuit*> bound_circuit_{nullptr};
   /// The concurrent per-root memo (constructed iff cache_plans; held by
   /// pointer because junction_tree.h includes this header).

@@ -8,27 +8,13 @@ namespace tud {
 
 double ExhaustiveProbability(const BoolCircuit& circuit, GateId root,
                              const EventRegistry& registry) {
-  // Collect the events actually used under root.
-  std::vector<EventId> used;
-  for (GateId g : circuit.ReachableFrom(root)) {
-    if (circuit.kind(g) == GateKind::kVar) used.push_back(circuit.var(g));
-  }
-  TUD_CHECK_LE(used.size(), 30u)
-      << "exhaustive enumeration over " << used.size() << " events";
-
-  double total = 0.0;
-  Valuation valuation(registry.size());
-  for (uint64_t mask = 0; mask < (1ULL << used.size()); ++mask) {
-    double p = 1.0;
-    for (size_t i = 0; i < used.size(); ++i) {
-      bool bit = (mask >> i) & 1;
-      valuation.set_value(used[i], bit);
-      double pe = registry.probability(used[i]);
-      p *= bit ? pe : (1.0 - pe);
-    }
-    if (circuit.Evaluate(root, valuation)) total += p;
-  }
-  return total;
+  BudgetMeter unlimited;
+  double value = 0.0;
+  const EngineStatus st =
+      ExhaustiveProbabilityGoverned(circuit, root, registry, unlimited, &value);
+  TUD_CHECK(st == EngineStatus::kOk)
+      << "exhaustive enumeration over more than 30 events";
+  return value;
 }
 
 EngineStatus ExhaustiveProbabilityGoverned(const BoolCircuit& circuit,

@@ -10,7 +10,9 @@ namespace tud {
 /// Exact probability that gate `root` is true, by enumerating all 2^n
 /// valuations of the events appearing under `root` (not all registry
 /// events, so this scales with the *cone*). Requires at most 30 such
-/// events. This is the naive baseline and the ground truth for tests.
+/// events (aborts otherwise). This is the naive baseline and the ground
+/// truth for tests: a wrapper over the governed variant below with an
+/// unlimited meter.
 double ExhaustiveProbability(const BoolCircuit& circuit, GateId root,
                              const EventRegistry& registry);
 

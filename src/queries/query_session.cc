@@ -57,9 +57,9 @@ GateId QuerySession::ReachabilityLineage(RelationId edge_relation,
                                          Value source, Value target,
                                          LineageStats* stats) {
   const DecomposedInstance& dec = Decomposition();
-  return ComputeReachabilityLineageOnDecomposition(
-      pcc_, edge_relation, source, target, dec.ntd, dec.facts_at_node,
-      stats);
+  return ComputeMultiTargetReachabilityLineageOnDecomposition(
+      pcc_, edge_relation, source, {target}, dec.ntd, dec.facts_at_node,
+      stats)[0];
 }
 
 std::vector<GateId> QuerySession::ReachabilityLineageBatch(
@@ -75,8 +75,8 @@ std::vector<GateId> QuerySession::ReachabilityLineageBatch(
   // for) grows roughly like (blocks+1)^pending, with the block count
   // bounded by the instance decomposition's width. Batching many
   // targets per DP is therefore only profitable on near-path encodings;
-  // on wider instances the chunk size backs off toward the
-  // single-target DP, whose circuits stay narrow.
+  // on wider instances the chunk size backs off toward one target per
+  // DP, whose circuits stay narrow.
   const int width = dec.ntd.Width();
   size_t per_dp = kMaxReachabilityTargetsPerDp;
   if (width == 2) {

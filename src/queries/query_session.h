@@ -92,7 +92,8 @@ class QuerySession {
     decomposition_ = std::move(decomposition);
   }
 
-  /// Lineage construction over the shared decomposition.
+  /// Lineage construction over the shared decomposition. Reachability
+  /// runs the target-indexed connectivity DP with one target.
   GateId CqLineage(const ConjunctiveQuery& query,
                    LineageStats* stats = nullptr);
   GateId UcqLineage(const UnionOfConjunctiveQueries& query,
@@ -107,8 +108,8 @@ class QuerySession {
   /// passes (see the batch cost model in inference/engine.h). The chunk
   /// size adapts to the instance decomposition's width — up to
   /// kMaxReachabilityTargetsPerDp targets per DP on path-like
-  /// encodings, backing off to the single-target DP on wide instances,
-  /// where jointly-tracked targets would blow up the DP state count and
+  /// encodings, down to one target per DP on wide instances, where
+  /// jointly-tracked targets would blow up the DP state count and
   /// with it the emitted circuit's treewidth. Returns one gate per
   /// target, in input order. `stats` accumulates over chunks
   /// (width/nodes from the last chunk).

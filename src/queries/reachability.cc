@@ -1,7 +1,6 @@
 #include "queries/reachability.h"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdint>
 #include <utility>
 #include <vector>
@@ -41,77 +40,58 @@ bool EvaluateReachability(const Instance& instance, RelationId edge_relation,
 
 namespace {
 
-// Connectivity DP state over the current bag: a normalized partition of
-// the bag indices into blocks of used-edge-connected vertices, with
-// per-block source/target flags, or the absorbing "done" state.
-struct RState {
+// A target assignment of kNoBlock means "not currently tracked": not yet
+// introduced, already witnessed, or sealed away from the source in this
+// derivation. All three are equivalent going forward (a vertex is never
+// re-introduced after its forget, and a witnessed target needs nothing
+// more), which is what keeps the state space free of any 2^T
+// connected-set index.
+constexpr uint8_t kNoBlock = 0xF;
+
+// DP state: the partition of the bag into used-edge-connected blocks,
+// a per-block source flag, and per pending target the block its
+// component currently touches. There is no absorbing "done" state —
+// connections are emitted as witnesses instead.
+struct State {
   std::vector<uint8_t> block;  // Per bag position; ids normalized.
-  uint16_t s_mask = 0;         // Bit b: block b's component contains source.
-  uint16_t t_mask = 0;
-  bool done = false;
+  uint16_t s_mask = 0;  // Bit b: block b's component contains source.
+  std::vector<uint8_t> tgt;  // Per pending target: block id or kNoBlock.
 };
 
-// A normalized RState packed into two words: 4 bits per bag position
-// (bag sizes are capped at 15 by the width check, so block ids fit),
-// the done flag in bit 60 of `lo`, and the flag masks in `hi`. This is
-// the flat-table key replacing the heap-allocated block vectors the
-// unordered_map keys used to carry.
-struct PackedRState {
-  uint64_t lo = 0;
-  uint64_t hi = 0;
-  bool operator==(const PackedRState&) const = default;
+// Normalized State in three words: 4 bits per bag position, the source
+// mask, and 4 bits per target. Real block ids stay <= 14 (bags cap at 15
+// positions), so kNoBlock = 0xF never collides.
+struct PackedState {
+  uint64_t part = 0;
+  uint64_t flags = 0;
+  uint64_t tgt = 0;
+  bool operator==(const PackedState&) const = default;
 };
 
-PackedRState Pack(const RState& state) {
-  PackedRState packed;
-  for (size_t i = 0; i < state.block.size(); ++i) {
-    packed.lo |= uint64_t{state.block[i]} << (4 * i);
-  }
-  if (state.done) packed.lo |= uint64_t{1} << 60;
-  packed.hi = uint64_t{state.s_mask} | (uint64_t{state.t_mask} << 16);
-  return packed;
-}
-
-size_t HashKey(const PackedRState& key) {
-  uint64_t h = key.lo * 0x9e3779b97f4a7c15ull;
-  h ^= key.hi + 0x9e3779b97f4a7c15ull + (h << 6) + (h >> 2);
+size_t HashKey(const PackedState& key) {
+  uint64_t h = key.part * 0x9e3779b97f4a7c15ull;
+  h ^= key.flags + 0x9e3779b97f4a7c15ull + (h << 6) + (h >> 2);
   h *= 0xff51afd7ed558ccdull;
+  h ^= key.tgt + 0x9e3779b97f4a7c15ull + (h << 6) + (h >> 2);
+  h *= 0xc2b2ae3d27d4eb4full;
   return static_cast<size_t>(h ^ (h >> 33));
-}
-
-void Unpack(const PackedRState& packed, size_t bag_size, RState& out) {
-  out.block.resize(bag_size);
-  for (size_t i = 0; i < bag_size; ++i) {
-    out.block[i] = static_cast<uint8_t>((packed.lo >> (4 * i)) & 0xF);
-  }
-  out.done = (packed.lo >> 60) & 1;
-  out.s_mask = static_cast<uint16_t>(packed.hi & 0xFFFF);
-  out.t_mask = static_cast<uint16_t>(packed.hi >> 16);
-}
-
-bool PackedDone(const PackedRState& packed) {
-  return (packed.lo >> 60) & 1;
 }
 
 // Open-addressed (state -> gate) table over packed keys: a flat entry
 // vector plus a power-of-two probe array, no per-entry allocation —
 // the same treatment the automaton engine gave its subset interner.
-// Shared by the single-target and the target-indexed DP (whose packed
-// keys differ in shape); `PackedKey` needs operator== and an overload of
-// HashKey.
-template <typename PackedKey>
 class DpTable {
  public:
   struct Entry {
-    PackedKey key;
+    PackedState key;
     GateId gate;
   };
 
   size_t size() const { return entries_.size(); }
   const Entry& entry(size_t i) const { return entries_[i]; }
 
-  /// Inserts `state`, ORing gates on collision (the DP's Merge).
-  void Merge(BoolCircuit& circuit, const PackedKey& key, GateId gate) {
+  /// Inserts `key`, ORing gates on collision (the DP's Merge).
+  void Merge(BoolCircuit& circuit, const PackedState& key, GateId gate) {
     if ((entries_.size() + 1) * 4 > buckets_.size() * 3) Grow();
     const size_t mask = buckets_.size() - 1;
     size_t slot = HashKey(key) & mask;
@@ -153,305 +133,14 @@ class DpTable {
   std::vector<uint32_t> buckets_;  // Entry index + 1; 0 = empty.
 };
 
-using RTable = DpTable<PackedRState>;
-
-// Renumbers blocks in order of first appearance and permutes the flag
-// masks accordingly. The done state is collapsed to a unique shape.
-RState Normalize(RState state) {
-  if (state.done) {
-    RState canonical;
-    canonical.block.assign(state.block.size(), 0);
-    for (size_t i = 0; i < canonical.block.size(); ++i) {
-      canonical.block[i] = static_cast<uint8_t>(i);
-    }
-    canonical.done = true;
-    return canonical;
-  }
-  std::vector<int> remap(state.block.size() + 2, -1);
-  uint8_t next = 0;
-  uint16_t s_mask = 0, t_mask = 0;
-  for (uint8_t& b : state.block) {
-    if (remap[b] < 0) {
-      remap[b] = next++;
-      if ((state.s_mask >> b) & 1) s_mask |= (1u << remap[b]);
-      if ((state.t_mask >> b) & 1) t_mask |= (1u << remap[b]);
-    }
-    b = static_cast<uint8_t>(remap[b]);
-  }
-  state.s_mask = s_mask;
-  state.t_mask = t_mask;
-  return state;
-}
-
 size_t BagIndex(const std::vector<VertexId>& bag, VertexId v) {
   auto it = std::lower_bound(bag.begin(), bag.end(), v);
   TUD_CHECK(it != bag.end() && *it == v);
   return static_cast<size_t>(it - bag.begin());
 }
 
-}  // namespace
-
-GateId ComputeReachabilityLineageOnDecomposition(
-    PccInstance& pcc, RelationId edge_relation, Value source, Value target,
-    const NiceTreeDecomposition& ntd,
-    const std::vector<std::vector<FactId>>& facts_at_node,
-    LineageStats* stats) {
-  BoolCircuit& circuit = pcc.circuit();
-  if (source == target) return circuit.AddConst(true);
-  const size_t domain = pcc.instance().DomainSize();
-  if (source >= domain || target >= domain) return circuit.AddConst(false);
-
-  TUD_CHECK_LE(ntd.Width(), 14) << "bag too large for connectivity masks";
-  if (stats != nullptr) {
-    stats->decomposition_width = ntd.Width();
-    stats->num_nice_nodes = ntd.NumNodes();
-    stats->total_states = 0;
-    stats->max_states_per_node = 0;
-  }
-
-  std::vector<RTable> table(ntd.NumNodes());
-  RState state;  // Reused unpacking scratch.
-  std::vector<std::pair<PackedRState, GateId>> additions;
-  for (NiceNodeId n = 0; n < ntd.NumNodes(); ++n) {
-    RTable& states = table[n];
-    const std::vector<VertexId>& bag = ntd.bag(n);
-    switch (ntd.kind(n)) {
-      case NiceNodeKind::kLeaf: {
-        states.Merge(circuit, Pack(RState{}), circuit.AddConst(true));
-        break;
-      }
-      case NiceNodeKind::kIntroduce: {
-        const VertexId v = ntd.vertex(n);
-        const size_t pos = BagIndex(bag, v);
-        RTable& child = table[ntd.children(n)[0]];
-        const size_t child_bag_size = bag.size() - 1;
-        for (size_t i = 0; i < child.size(); ++i) {
-          Unpack(child.entry(i).key, child_bag_size, state);
-          const GateId gate = child.entry(i).gate;
-          RState next;
-          next.done = state.done;
-          next.block.reserve(bag.size());
-          uint8_t fresh =
-              static_cast<uint8_t>(state.block.size());  // New block id.
-          for (size_t j = 0; j < bag.size(); ++j) {
-            if (j == pos) {
-              next.block.push_back(fresh);
-            } else {
-              next.block.push_back(state.block[j < pos ? j : j - 1]);
-            }
-          }
-          next.s_mask = state.s_mask;
-          next.t_mask = state.t_mask;
-          if (!next.done) {
-            if (v == source) next.s_mask |= (1u << fresh);
-            if (v == target) next.t_mask |= (1u << fresh);
-          }
-          states.Merge(circuit, Pack(Normalize(std::move(next))), gate);
-        }
-        child.Release();
-        break;
-      }
-      case NiceNodeKind::kForget: {
-        const VertexId v = ntd.vertex(n);
-        const std::vector<VertexId>& child_bag =
-            ntd.bag(ntd.children(n)[0]);
-        const size_t pos = BagIndex(child_bag, v);
-        RTable& child = table[ntd.children(n)[0]];
-        for (size_t i = 0; i < child.size(); ++i) {
-          Unpack(child.entry(i).key, child_bag.size(), state);
-          const GateId gate = child.entry(i).gate;
-          RState next;
-          next.done = state.done;
-          next.s_mask = state.s_mask;
-          next.t_mask = state.t_mask;
-          uint8_t gone = state.block[pos];
-          bool block_survives = false;
-          for (size_t j = 0; j < state.block.size(); ++j) {
-            if (j == pos) continue;
-            next.block.push_back(state.block[j]);
-            if (state.block[j] == gone) block_survives = true;
-          }
-          if (!next.done && !block_survives) {
-            // The component loses its last bag vertex: it can never be
-            // extended again.
-            bool has_s = (state.s_mask >> gone) & 1;
-            bool has_t = (state.t_mask >> gone) & 1;
-            if (has_s && has_t) {
-              next.done = true;  // Source and target joined: accept.
-            } else if (has_s || has_t) {
-              continue;  // Source/target sealed off: dead derivation.
-            }
-            // Flag-free sealed components only arise from useless edge
-            // choices; pruning them loses no accepting derivation (a
-            // minimal witness path has none).
-            next.s_mask &= ~(1u << gone);
-            next.t_mask &= ~(1u << gone);
-          }
-          states.Merge(circuit, Pack(Normalize(std::move(next))), gate);
-        }
-        child.Release();
-        break;
-      }
-      case NiceNodeKind::kJoin: {
-        RTable& left = table[ntd.children(n)[0]];
-        RTable& right = table[ntd.children(n)[1]];
-        const size_t k = bag.size();
-        RState sl, sr;
-        for (size_t li = 0; li < left.size(); ++li) {
-          Unpack(left.entry(li).key, k, sl);
-          const GateId gl = left.entry(li).gate;
-          for (size_t ri = 0; ri < right.size(); ++ri) {
-            Unpack(right.entry(ri).key, k, sr);
-            const GateId gr = right.entry(ri).gate;
-            GateId gate = circuit.AddAnd(gl, gr);
-            if (sl.done || sr.done) {
-              RState next;
-              next.block.assign(k, 0);
-              for (size_t i = 0; i < k; ++i) {
-                next.block[i] = static_cast<uint8_t>(i);
-              }
-              next.done = true;
-              states.Merge(circuit, Pack(Normalize(std::move(next))), gate);
-              continue;
-            }
-            // Union-find over bag positions: both partitions constrain.
-            uint8_t parent[16];
-            for (size_t i = 0; i < k; ++i) {
-              parent[i] = static_cast<uint8_t>(i);
-            }
-            auto find = [&parent](uint8_t x) -> uint8_t {
-              while (parent[x] != x) x = parent[x] = parent[parent[x]];
-              return x;
-            };
-            for (size_t i = 0; i < k; ++i) {
-              for (size_t j = i + 1; j < k; ++j) {
-                if (sl.block[i] == sl.block[j] ||
-                    sr.block[i] == sr.block[j]) {
-                  parent[find(static_cast<uint8_t>(i))] =
-                      find(static_cast<uint8_t>(j));
-                }
-              }
-            }
-            RState next;
-            next.block.resize(k);
-            next.s_mask = next.t_mask = 0;
-            for (size_t i = 0; i < k; ++i) {
-              uint8_t root = find(static_cast<uint8_t>(i));
-              next.block[i] = root;
-              if ((sl.s_mask >> sl.block[i]) & 1) next.s_mask |= 1u << root;
-              if ((sr.s_mask >> sr.block[i]) & 1) next.s_mask |= 1u << root;
-              if ((sl.t_mask >> sl.block[i]) & 1) next.t_mask |= 1u << root;
-              if ((sr.t_mask >> sr.block[i]) & 1) next.t_mask |= 1u << root;
-            }
-            states.Merge(circuit, Pack(Normalize(std::move(next))), gate);
-          }
-        }
-        left.Release();
-        right.Release();
-        break;
-      }
-    }
-
-    // Use any subset of this node's edge facts: one at a time, merging
-    // endpoint blocks (iterate to closure via the state table itself).
-    for (FactId f : facts_at_node[n]) {
-      const Fact& fact = pcc.instance().fact(f);
-      if (fact.relation != edge_relation || fact.args.size() != 2) continue;
-      if (fact.args[0] == fact.args[1]) continue;  // Self-loop: no effect.
-      const size_t pa = BagIndex(bag, fact.args[0]);
-      const size_t pb = BagIndex(bag, fact.args[1]);
-      const GateId fact_gate = pcc.annotation(f);
-      additions.clear();
-      for (size_t i = 0; i < states.size(); ++i) {
-        if (PackedDone(states.entry(i).key)) continue;
-        Unpack(states.entry(i).key, bag.size(), state);
-        const GateId gate = states.entry(i).gate;
-        uint8_t ba = state.block[pa];
-        uint8_t bb = state.block[pb];
-        if (ba == bb) continue;  // Already connected: using it is moot.
-        RState next = state;
-        for (uint8_t& b : next.block) {
-          if (b == bb) b = ba;
-        }
-        if ((state.s_mask >> bb) & 1) next.s_mask |= (1u << ba);
-        if ((state.t_mask >> bb) & 1) next.t_mask |= (1u << ba);
-        next.s_mask &= ~(1u << bb);
-        next.t_mask &= ~(1u << bb);
-        additions.emplace_back(Pack(Normalize(std::move(next))),
-                               circuit.AddAnd(gate, fact_gate));
-      }
-      for (const auto& [packed, gate] : additions) {
-        states.Merge(circuit, packed, gate);
-      }
-    }
-
-    if (stats != nullptr) {
-      stats->total_states += states.size();
-      stats->max_states_per_node =
-          std::max(stats->max_states_per_node, states.size());
-    }
-  }
-
-  // Root (empty bag): accept the done state.
-  std::vector<GateId> accepting;
-  const RTable& root_states = table[ntd.root()];
-  for (size_t i = 0; i < root_states.size(); ++i) {
-    if (PackedDone(root_states.entry(i).key)) {
-      accepting.push_back(root_states.entry(i).gate);
-    }
-  }
-  return circuit.AddOr(std::move(accepting));
-}
-
-// ---------------------------------------------------------------------------
-// Target-indexed DP (see header): one connectivity DP for a whole target
-// battery, so the battery's lineages share one narrow cone instead of T
-// independent tracks.
-// ---------------------------------------------------------------------------
-
-namespace {
-
-// A target assignment of kNoBlock means "not currently tracked": not yet
-// introduced, already witnessed, or sealed away from the source in this
-// derivation. All three are equivalent going forward (a vertex is never
-// re-introduced after its forget, and a witnessed target needs nothing
-// more), which is what keeps the state space free of any 2^T
-// connected-set index.
-constexpr uint8_t kNoBlock = 0xF;
-
-// DP state: the partition of the bag into used-edge-connected blocks,
-// a per-block source flag, and per pending target the block its
-// component currently touches. Unlike the single-target RState there is
-// no absorbing done bit — connections are emitted as witnesses instead.
-struct MState {
-  std::vector<uint8_t> block;  // Per bag position; ids normalized.
-  uint16_t s_mask = 0;  // Bit b: block b's component contains source.
-  std::vector<uint8_t> tgt;  // Per pending target: block id or kNoBlock.
-};
-
-// Normalized MState in three words: 4 bits per bag position, the source
-// mask, and 4 bits per target. Real block ids stay <= 14 (bags cap at 15
-// positions), so kNoBlock = 0xF never collides.
-struct PackedMState {
-  uint64_t part = 0;
-  uint64_t flags = 0;
-  uint64_t tgt = 0;
-  bool operator==(const PackedMState&) const = default;
-};
-
-size_t HashKey(const PackedMState& key) {
-  uint64_t h = key.part * 0x9e3779b97f4a7c15ull;
-  h ^= key.flags + 0x9e3779b97f4a7c15ull + (h << 6) + (h >> 2);
-  h *= 0xff51afd7ed558ccdull;
-  h ^= key.tgt + 0x9e3779b97f4a7c15ull + (h << 6) + (h >> 2);
-  h *= 0xc2b2ae3d27d4eb4full;
-  return static_cast<size_t>(h ^ (h >> 33));
-}
-
-using MTable = DpTable<PackedMState>;
-
-PackedMState PackM(const MState& state) {
-  PackedMState packed;
+PackedState Pack(const State& state) {
+  PackedState packed;
   for (size_t i = 0; i < state.block.size(); ++i) {
     packed.part |= uint64_t{state.block[i]} << (4 * i);
   }
@@ -462,8 +151,8 @@ PackedMState PackM(const MState& state) {
   return packed;
 }
 
-void UnpackM(const PackedMState& packed, size_t bag_size,
-             size_t num_targets, MState& out) {
+void Unpack(const PackedState& packed, size_t bag_size, size_t num_targets,
+            State& out) {
   out.block.resize(bag_size);
   for (size_t i = 0; i < bag_size; ++i) {
     out.block[i] = static_cast<uint8_t>((packed.part >> (4 * i)) & 0xF);
@@ -484,8 +173,8 @@ void UnpackM(const PackedMState& packed, size_t bag_size,
 // Monotonicity of reachability makes the final OR of witnesses exact.
 // Then renumbers blocks by first appearance (flag and assignments
 // permuted along) and returns the packed canonical key.
-PackedMState ResolveAndNormalize(MState& state, GateId gate,
-                                 std::vector<std::vector<GateId>>& witnesses) {
+PackedState ResolveAndNormalize(State& state, GateId gate,
+                                std::vector<std::vector<GateId>>& witnesses) {
   for (size_t t = 0; t < state.tgt.size(); ++t) {
     const uint8_t b = state.tgt[t];
     if (b != kNoBlock && ((state.s_mask >> b) & 1)) {
@@ -510,7 +199,7 @@ PackedMState ResolveAndNormalize(MState& state, GateId gate,
     b = static_cast<uint8_t>(remap[b]);
   }
   state.s_mask = s_mask;
-  return PackM(state);
+  return Pack(state);
 }
 
 }  // namespace
@@ -524,9 +213,9 @@ std::vector<GateId> ComputeMultiTargetReachabilityLineageOnDecomposition(
   const size_t domain = pcc.instance().DomainSize();
   std::vector<GateId> result(targets.size());
 
-  // Trivial entries resolve up front (matching the single-target
-  // conventions); the rest dedupe into the pending battery the DP
-  // actually tracks.
+  // Trivial entries resolve up front (source itself: const true;
+  // out-of-domain: const false); the rest dedupe into the pending
+  // battery the DP actually tracks.
   std::vector<Value> pending;
   std::vector<size_t> slot(targets.size(), SIZE_MAX);
   for (size_t i = 0; i < targets.size(); ++i) {
@@ -557,17 +246,17 @@ std::vector<GateId> ComputeMultiTargetReachabilityLineageOnDecomposition(
   TUD_CHECK_LE(ntd.Width(), 14) << "bag too large for connectivity masks";
 
   std::vector<std::vector<GateId>> witnesses(num_targets);
-  std::vector<MTable> table(ntd.NumNodes());
-  MState state;  // Reused unpacking scratch.
-  std::vector<std::pair<PackedMState, GateId>> additions;
+  std::vector<DpTable> table(ntd.NumNodes());
+  State state;  // Reused unpacking scratch.
+  std::vector<std::pair<PackedState, GateId>> additions;
   for (NiceNodeId n = 0; n < ntd.NumNodes(); ++n) {
-    MTable& states = table[n];
+    DpTable& states = table[n];
     const std::vector<VertexId>& bag = ntd.bag(n);
     switch (ntd.kind(n)) {
       case NiceNodeKind::kLeaf: {
-        MState empty;
+        State empty;
         empty.tgt.assign(num_targets, kNoBlock);
-        states.Merge(circuit, PackM(empty), circuit.AddConst(true));
+        states.Merge(circuit, Pack(empty), circuit.AddConst(true));
         break;
       }
       case NiceNodeKind::kIntroduce: {
@@ -577,12 +266,12 @@ std::vector<GateId> ComputeMultiTargetReachabilityLineageOnDecomposition(
         for (size_t t = 0; t < num_targets; ++t) {
           if (pending[t] == v) intro_target = static_cast<int>(t);
         }
-        MTable& child = table[ntd.children(n)[0]];
+        DpTable& child = table[ntd.children(n)[0]];
         const size_t child_bag_size = bag.size() - 1;
         for (size_t i = 0; i < child.size(); ++i) {
-          UnpackM(child.entry(i).key, child_bag_size, num_targets, state);
+          Unpack(child.entry(i).key, child_bag_size, num_targets, state);
           const GateId gate = child.entry(i).gate;
-          MState next;
+          State next;
           next.block.reserve(bag.size());
           const uint8_t fresh = static_cast<uint8_t>(state.block.size());
           for (size_t j = 0; j < bag.size(); ++j) {
@@ -613,11 +302,11 @@ std::vector<GateId> ComputeMultiTargetReachabilityLineageOnDecomposition(
         const std::vector<VertexId>& child_bag =
             ntd.bag(ntd.children(n)[0]);
         const size_t pos = BagIndex(child_bag, v);
-        MTable& child = table[ntd.children(n)[0]];
+        DpTable& child = table[ntd.children(n)[0]];
         for (size_t i = 0; i < child.size(); ++i) {
-          UnpackM(child.entry(i).key, child_bag.size(), num_targets, state);
+          Unpack(child.entry(i).key, child_bag.size(), num_targets, state);
           const GateId gate = child.entry(i).gate;
-          MState next;
+          State next;
           next.s_mask = state.s_mask;
           next.tgt = state.tgt;
           const uint8_t gone = state.block[pos];
@@ -632,9 +321,8 @@ std::vector<GateId> ComputeMultiTargetReachabilityLineageOnDecomposition(
             if ((state.s_mask >> gone) & 1) {
               // Source sealed: no transition can ever merge a pending
               // target into its block, so no witness can come from this
-              // derivation — drop it (the multi-target analogue of the
-              // single-target "source sealed off" dead state; targets
-              // already witnessed keep their emitted witnesses).
+              // derivation — drop it (targets already witnessed keep
+              // their emitted witnesses).
               continue;
             }
             for (uint8_t& b : next.tgt) {
@@ -649,12 +337,12 @@ std::vector<GateId> ComputeMultiTargetReachabilityLineageOnDecomposition(
         break;
       }
       case NiceNodeKind::kJoin: {
-        MTable& left = table[ntd.children(n)[0]];
-        MTable& right = table[ntd.children(n)[1]];
+        DpTable& left = table[ntd.children(n)[0]];
+        DpTable& right = table[ntd.children(n)[1]];
         const size_t k = bag.size();
-        MState sl, sr;
+        State sl, sr;
         for (size_t li = 0; li < left.size(); ++li) {
-          UnpackM(left.entry(li).key, k, num_targets, sl);
+          Unpack(left.entry(li).key, k, num_targets, sl);
           const GateId gl = left.entry(li).gate;
           // A representative bag position per left block (targets whose
           // vertex was forgotten below are carried through it).
@@ -664,7 +352,7 @@ std::vector<GateId> ComputeMultiTargetReachabilityLineageOnDecomposition(
             if (lpos[sl.block[i]] < 0) lpos[sl.block[i]] = static_cast<int>(i);
           }
           for (size_t ri = 0; ri < right.size(); ++ri) {
-            UnpackM(right.entry(ri).key, k, num_targets, sr);
+            Unpack(right.entry(ri).key, k, num_targets, sr);
             const GateId gr = right.entry(ri).gate;
             const GateId gate = circuit.AddAnd(gl, gr);
             // Union-find over bag positions: both partitions constrain.
@@ -692,7 +380,7 @@ std::vector<GateId> ComputeMultiTargetReachabilityLineageOnDecomposition(
                 rpos[sr.block[i]] = static_cast<int>(i);
               }
             }
-            MState next;
+            State next;
             next.block.resize(k);
             next.s_mask = 0;
             for (size_t i = 0; i < k; ++i) {
@@ -733,12 +421,12 @@ std::vector<GateId> ComputeMultiTargetReachabilityLineageOnDecomposition(
       const GateId fact_gate = pcc.annotation(f);
       additions.clear();
       for (size_t i = 0; i < states.size(); ++i) {
-        UnpackM(states.entry(i).key, bag.size(), num_targets, state);
+        Unpack(states.entry(i).key, bag.size(), num_targets, state);
         const GateId gate = states.entry(i).gate;
         const uint8_t ba = state.block[pa];
         const uint8_t bb = state.block[pb];
         if (ba == bb) continue;  // Already connected: using it is moot.
-        MState next = state;
+        State next = state;
         for (uint8_t& b : next.block) {
           if (b == bb) b = ba;
         }
@@ -788,14 +476,8 @@ std::vector<GateId> ComputeMultiTargetReachabilityLineage(
 GateId ComputeReachabilityLineage(PccInstance& pcc, RelationId edge_relation,
                                   Value source, Value target,
                                   LineageStats* stats) {
-  BoolCircuit& circuit = pcc.circuit();
-  if (source == target) return circuit.AddConst(true);
-  const size_t domain = pcc.instance().DomainSize();
-  if (source >= domain || target >= domain) return circuit.AddConst(false);
-
-  DecomposedInstance dec = DecomposeInstance(pcc.instance());
-  return ComputeReachabilityLineageOnDecomposition(
-      pcc, edge_relation, source, target, dec.ntd, dec.facts_at_node, stats);
+  return ComputeMultiTargetReachabilityLineage(pcc, edge_relation, source,
+                                               {target}, stats)[0];
 }
 
 }  // namespace tud

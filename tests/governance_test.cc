@@ -217,9 +217,8 @@ TEST(GovernedEngineTest, FailedPlanOnDefaultBudgetPathsIsTypedStatus) {
   EXPECT_EQ(cached.Estimate(circuit, f.lineage, events).status,
             EngineStatus::kResourceExhausted);
 
-  JunctionTreeEngine threaded(/*cache_plans=*/false, /*batch_threads=*/2);
   for (const EngineResult& r :
-       threaded.EstimateBatch(circuit, {f.lineage, f.lineage}, events)) {
+       uncached.EstimateBatch(circuit, {f.lineage, f.lineage}, events)) {
     EXPECT_EQ(r.status, EngineStatus::kResourceExhausted);
   }
 

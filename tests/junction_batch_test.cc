@@ -5,8 +5,7 @@
 // kernels must be bit-identical to the wide-bag IndexSteps fallback, in
 // full and delta passes; and the session-level
 // ProbabilityBatch surface must agree with per-query Probability for
-// every engine mode (shared pass, thread-parallel per-root plans,
-// default loop).
+// every engine mode (shared pass, uncached plans, default loop).
 
 #include <algorithm>
 #include <memory>
@@ -220,14 +219,11 @@ TEST_P(JunctionBatchTest, EngineBatchModesAgreeWithExhaustive) {
   const Evidence evidence = {{2, true}};
 
   JunctionTreeEngine shared(/*cache_plans=*/true);
-  JunctionTreeEngine threaded(/*cache_plans=*/true, /*batch_threads=*/4);
   JunctionTreeEngine uncached;
   ExhaustiveEngine exhaustive;
 
   std::vector<EngineResult> s = shared.EstimateBatch(c, roots, registry,
                                                      evidence);
-  std::vector<EngineResult> t = threaded.EstimateBatch(c, roots, registry,
-                                                       evidence);
   std::vector<EngineResult> u = uncached.EstimateBatch(c, roots, registry,
                                                        evidence);
   // The default (loop) implementation through the base-class pointer.
@@ -237,10 +233,8 @@ TEST_P(JunctionBatchTest, EngineBatchModesAgreeWithExhaustive) {
   ASSERT_EQ(s.size(), roots.size());
   for (size_t i = 0; i < roots.size(); ++i) {
     EXPECT_NEAR(s[i].value, d[i].value, 1e-9) << "shared vs exhaustive";
-    EXPECT_NEAR(t[i].value, d[i].value, 1e-9) << "threaded vs exhaustive";
     EXPECT_NEAR(u[i].value, d[i].value, 1e-9) << "uncached vs exhaustive";
     EXPECT_EQ(s[i].stats.batch_size, roots.size());
-    EXPECT_EQ(t[i].stats.batch_size, roots.size());
     EXPECT_EQ(d[i].stats.batch_size, roots.size());
     EXPECT_GT(s[i].stats.bags_visited, 0u);
     EXPECT_GT(s[i].stats.max_table, 0u);

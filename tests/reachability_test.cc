@@ -9,6 +9,7 @@
 #include "uncertain/pcc_instance.h"
 #include "uncertain/tid_instance.h"
 #include "util/rng.h"
+#include "workloads/workloads.h"
 
 namespace tud {
 namespace {
@@ -186,8 +187,8 @@ TEST(MultiTargetReachabilityTest, OutOfDomainSource) {
 }
 
 // The battery of every vertex as a target agrees with per-world BFS on
-// every valuation — the multi-target DP is exactly the single-target
-// semantics, target by target.
+// every valuation — each gate of a T-target run is exactly the
+// reachability semantics of its own target.
 TEST_P(ReachabilityPropertyTest, MultiTargetMatchesBfsWorldByWorld) {
   Rng rng(GetParam() + 1400);
   const uint32_t n = 5 + static_cast<uint32_t>(rng.UniformInt(3));
@@ -220,9 +221,10 @@ TEST_P(ReachabilityPropertyTest, MultiTargetMatchesBfsWorldByWorld) {
   }
 }
 
-// Probabilities from the battery agree with the single-target lineage
-// construction, gate for gate.
-TEST_P(ReachabilityPropertyTest, MultiTargetMatchesSingleTargetProbability) {
+// A T-target battery and T one-target runs of the same DP give the same
+// probability, target by target: tracking other targets jointly changes
+// the circuit's shape, never its semantics.
+TEST_P(ReachabilityPropertyTest, MultiTargetMatchesOneTargetRunsProbability) {
   Rng rng(GetParam() + 2100);
   TidInstance tid(EdgeSchema());
   const uint32_t n = 6;
@@ -299,6 +301,29 @@ TEST(ReachabilityLineageTest, LongPathLinearStates) {
   EXPECT_LE(stats.max_states_per_node, 64u);
   double p = JunctionTreeProbability(pcc.circuit(), lineage, pcc.events());
   EXPECT_NEAR(p, std::pow(0.9, n - 1), 1e-9);
+}
+
+// ladder:48 (the benchmark's instance): a one-target query emits its
+// witness where source and target first connect instead of carrying a
+// connected flag up to the root, so its junction-tree plan stays small
+// (a flag-carrying DP gives 338,119 and 193,159 cells here). The
+// reference probabilities come from that flag-carrying DP.
+TEST(ReachabilityLineageTest, LadderOneTargetPlansStaySmall) {
+  const TidInstance tid =
+      workloads::MakeInstance(*workloads::ParseInstanceSpec("ladder:48"));
+  const struct {
+    Value target;
+    double probability;
+  } cases[] = {{10, 0.5218886080720625}, {50, 0.039933836298718994}};
+  for (const auto& c : cases) {
+    PccInstance pcc = PccInstance::FromCInstance(tid.ToPcInstance());
+    const GateId lineage = ComputeReachabilityLineage(pcc, 0, 0, c.target);
+    const JunctionTreePlan plan =
+        JunctionTreePlan::Build(pcc.circuit(), lineage);
+    EXPECT_NEAR(plan.Execute(pcc.events()), c.probability, 1e-12)
+        << "t=" << c.target;
+    EXPECT_LE(plan.total_cells(), 60000.0) << "t=" << c.target;
+  }
 }
 
 }  // namespace

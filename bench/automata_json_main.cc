@@ -138,7 +138,7 @@ int Main(int argc, char** argv) {
     TreeAutomaton combo = TreeAutomaton::Product(
         has_musician, has_statement.Complement(), /*conjunction=*/true);
     GateId lineage = ProvenanceRun(combo, tree);
-    JunctionTreeProbability(tree.circuit(), lineage, doc.events());
+    JunctionTreeEngine().Estimate(tree.circuit(), lineage, doc.events());
   });
   harness.Register("pipeline_e2e/boolean_combination_expr", [&] {
     XmlLabelMap labels;
@@ -150,7 +150,7 @@ int Main(int argc, char** argv) {
         !AutomatonExpr::Atom(MakeExistsLabel(tree.AlphabetSize(),
                                              labels.Find("statement")));
     GateId lineage = ProvenanceRun(combo.Compile(), tree);
-    JunctionTreeProbability(tree.circuit(), lineage, doc.events());
+    JunctionTreeEngine().Estimate(tree.circuit(), lineage, doc.events());
   });
 
   // --- MSO reachability, per-query derivation vs session reuse: one
@@ -171,7 +171,7 @@ int Main(int argc, char** argv) {
   harness.Register("mso_reachability/fresh_per_query", [&] {
     PccInstance pcc = PccInstance::FromCInstance(ladder_pc);
     GateId lineage = ComputeReachabilityLineage(pcc, 0, 0, 2 * rungs - 2);
-    JunctionTreeProbability(pcc.circuit(), lineage, pcc.events());
+    JunctionTreeEngine().Estimate(pcc.circuit(), lineage, pcc.events());
   });
   QuerySession ladder_session = QuerySession::FromCInstance(
       ladder_pc, std::make_unique<JunctionTreeEngine>(/*cache_plans=*/true));

@@ -33,7 +33,8 @@ void BM_AutomatonPipeline(benchmark::State& state) {
         MakeExistsLabel(tree.AlphabetSize(), labels.Find("musician"));
     GateId lineage = ProvenanceRun(automaton, tree);
     gates = tree.circuit().NumGates();
-    p = JunctionTreeProbability(tree.circuit(), lineage, doc.events());
+    p = JunctionTreeEngine().Estimate(tree.circuit(), lineage,
+                                      doc.events()).value;
     benchmark::DoNotOptimize(p);
   }
   state.counters["entities"] = entities;
@@ -52,7 +53,8 @@ void BM_PatternLineageReference(benchmark::State& state) {
   double p = 0;
   for (auto _ : state) {
     GateId lineage = PatternLineage(pattern, doc);
-    p = JunctionTreeProbability(doc.circuit(), lineage, doc.events());
+    p = JunctionTreeEngine().Estimate(doc.circuit(), lineage,
+                                      doc.events()).value;
     benchmark::DoNotOptimize(p);
   }
   state.counters["entities"] = entities;
@@ -81,7 +83,8 @@ void BM_AutomatonBooleanCombination(benchmark::State& state) {
     TreeAutomaton combo = TreeAutomaton::Product(
         has_musician, has_statement.Complement(), /*conjunction=*/true);
     GateId lineage = ProvenanceRun(combo, tree);
-    p = JunctionTreeProbability(tree.circuit(), lineage, doc.events());
+    p = JunctionTreeEngine().Estimate(tree.circuit(), lineage,
+                                      doc.events()).value;
     benchmark::DoNotOptimize(p);
   }
   state.counters["entities"] = entities;
@@ -108,7 +111,8 @@ void BM_AutomatonBooleanCombinationExpr(benchmark::State& state) {
         !AutomatonExpr::Atom(MakeExistsLabel(tree.AlphabetSize(),
                                              labels.Find("statement")));
     GateId lineage = ProvenanceRun(combo.Compile(), tree);
-    p = JunctionTreeProbability(tree.circuit(), lineage, doc.events());
+    p = JunctionTreeEngine().Estimate(tree.circuit(), lineage,
+                                      doc.events()).value;
     benchmark::DoNotOptimize(p);
   }
   state.counters["entities"] = entities;

@@ -59,11 +59,14 @@ int Interrogate(CrowdSetup& setup, const Valuation& truth, bool greedy,
   std::vector<std::pair<EventId, bool>> answers;
   for (int asked = 0; !askable.empty(); ++asked) {
     double p = answers.empty()
-                   ? JunctionTreeProbability(setup.doc.circuit(),
-                                             setup.query, setup.doc.events())
-                   : JunctionTreeProbabilityWithEvidence(
-                         setup.doc.circuit(), setup.query,
-                         setup.doc.events(), answers);
+                   ? JunctionTreeEngine()
+                         .Estimate(setup.doc.circuit(), setup.query,
+                                   setup.doc.events())
+                         .value
+                   : JunctionTreeEngine()
+                         .Estimate(setup.doc.circuit(), setup.query,
+                                   setup.doc.events(), answers)
+                         .value;
     if (BinaryEntropy(p) < 0.01) return asked;
     EventId pick;
     if (greedy) {
@@ -72,11 +75,15 @@ int Interrogate(CrowdSetup& setup, const Valuation& truth, bool greedy,
       for (EventId e : askable) {
         auto with = answers;
         with.emplace_back(e, true);
-        double pt = JunctionTreeProbabilityWithEvidence(
-            setup.doc.circuit(), setup.query, setup.doc.events(), with);
+        double pt = JunctionTreeEngine()
+                        .Estimate(setup.doc.circuit(), setup.query,
+                                  setup.doc.events(), with)
+                        .value;
         with.back().second = false;
-        double pf = JunctionTreeProbabilityWithEvidence(
-            setup.doc.circuit(), setup.query, setup.doc.events(), with);
+        double pf = JunctionTreeEngine()
+                        .Estimate(setup.doc.circuit(), setup.query,
+                                  setup.doc.events(), with)
+                        .value;
         double pe = setup.doc.events().probability(e);
         double expected =
             pe * BinaryEntropy(pt) + (1 - pe) * BinaryEntropy(pf);

@@ -49,7 +49,8 @@ void BM_Figure1Marginals(benchmark::State& state) {
     PrXmlDocument doc = MakeFigure1();
     auto prob = [&doc](const TreePattern& pattern) {
       GateId lineage = PatternLineage(pattern, doc);
-      return JunctionTreeProbability(doc.circuit(), lineage, doc.events());
+      return JunctionTreeEngine().Estimate(doc.circuit(), lineage,
+                                           doc.events()).value;
     };
     p_musician = prob(TreePattern::LabelExists("musician"));
     p_chelsea = prob(TreePattern::LabelExists("Chelsea"));
@@ -78,7 +79,8 @@ void BM_Figure1Forest(benchmark::State& state) {
   double p = 0;
   for (auto _ : state) {
     GateId lineage = PatternLineage(pattern, doc);
-    p = JunctionTreeProbability(doc.circuit(), lineage, doc.events());
+    p = JunctionTreeEngine().Estimate(doc.circuit(), lineage,
+                                      doc.events()).value;
     benchmark::DoNotOptimize(p);
   }
   state.counters["entities"] = n;

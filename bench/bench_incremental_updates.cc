@@ -116,7 +116,7 @@ void BenchProbabilityUpdates(const workloads::InstanceSpec& spec,
       events.set_probability(
           static_cast<EventId>(rng.UniformDouble() * num_events),
           rng.UniformDouble());
-      sink += JunctionTreeProbability(circuit, root, events);
+      sink += JunctionTreeEngine().Estimate(circuit, root, events).value;
     }
     rebuild_seconds = SecondsSince(start);
   }
@@ -154,7 +154,8 @@ void BenchProbabilityUpdates(const workloads::InstanceSpec& spec,
   // The last updates of modes 2 and 3 left identical registry state:
   // the maintained answer must be bit-identical to a fresh full pass.
   const double maintained = inc.Probability(query).value;
-  const double fresh = JunctionTreeProbability(circuit, root, events);
+  const double fresh =
+      JunctionTreeEngine().Estimate(circuit, root, events).value;
   if (maintained != fresh) {
     std::fprintf(stderr, "MISMATCH on %s: %.17g != %.17g\n",
                  spec.Name().c_str(), maintained, fresh);
@@ -233,8 +234,10 @@ void BenchStructuralInserts(const workloads::InstanceSpec& spec,
     start = clock_type::now();
     QuerySession fresh(session.pcc());
     const GateId fresh_root = fresh.ReachabilityLineage(0, source, target);
-    const double rebuilt = JunctionTreeProbability(
-        fresh.pcc().circuit(), fresh_root, fresh.pcc().events());
+    const double rebuilt = JunctionTreeEngine()
+                               .Estimate(fresh.pcc().circuit(), fresh_root,
+                                         fresh.pcc().events())
+                               .value;
     rebuild_seconds += SecondsSince(start);
 
     if (std::fabs(repaired - rebuilt) > 1e-9) {

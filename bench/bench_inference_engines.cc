@@ -75,7 +75,8 @@ BENCHMARK(BM_EngineBddCompilation)->RangeMultiplier(2)->Range(16, 32);
 void BM_EngineSampling(benchmark::State& state) {
   Workload w = MakeWorkload(static_cast<uint32_t>(state.range(0)));
   double exact =
-      JunctionTreeProbability(w.pcc.circuit(), w.lineage, w.pcc.events());
+      JunctionTreeEngine().Estimate(w.pcc.circuit(), w.lineage,
+                                    w.pcc.events()).value;
   SamplingEngine engine(10000, 1);
   EngineResult result;
   for (auto _ : state) {

@@ -46,7 +46,8 @@ void BM_LocalGenericPipeline(benchmark::State& state) {
   double p = 0;
   for (auto _ : state) {
     GateId lineage = PatternLineage(pattern, doc);
-    p = JunctionTreeProbability(doc.circuit(), lineage, doc.events());
+    p = JunctionTreeEngine().Estimate(doc.circuit(), lineage,
+                                      doc.events()).value;
     benchmark::DoNotOptimize(p);
   }
   state.counters["entities"] = entities;

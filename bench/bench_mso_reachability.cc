@@ -77,7 +77,8 @@ void BM_ReachabilityLadderFresh(benchmark::State& state) {
     PccInstance pcc = PccInstance::FromCInstance(pc);
     GateId lineage =
         ComputeReachabilityLineage(pcc, 0, 0, 2 * length - 2, &stats);
-    p = JunctionTreeProbability(pcc.circuit(), lineage, pcc.events());
+    p = JunctionTreeEngine().Estimate(pcc.circuit(), lineage,
+                                      pcc.events()).value;
     benchmark::DoNotOptimize(p);
   }
   state.counters["rungs"] = length;

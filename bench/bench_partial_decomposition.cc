@@ -9,10 +9,9 @@
 
 #include <cmath>
 
-#include "inference/exhaustive.h"
+#include "inference/engine.h"
 #include "inference/hybrid.h"
 #include "inference/junction_tree.h"
-#include "inference/sampling.h"
 #include "util/rng.h"
 #include "workloads/workloads.h"
 
@@ -31,13 +30,14 @@ void BM_HybridCoreTentacles(benchmark::State& state) {
   std::vector<EventId> core_events =
       SelectCoreEvents(circuit, root, /*target_width=*/3, core);
   double exact = registry.size() <= 22
-                     ? ExhaustiveProbability(circuit, root, registry)
+                     ? ExhaustiveEngine().Estimate(circuit, root,
+                                                   registry).value
                      : -1;
   EngineResult result;
-  Rng rng(9);
+  HybridEngine hybrid(/*target_width=*/3, /*max_core=*/core, samples,
+                      /*seed=*/9);
   for (auto _ : state) {
-    result = HybridProbability(circuit, root, registry, core_events,
-                               samples, rng);
+    result = hybrid.EstimateWithCore(circuit, root, registry, core_events);
     benchmark::DoNotOptimize(result.value);
   }
   state.counters["core_events_chosen"] =
@@ -61,12 +61,13 @@ void BM_PureSamplingSameBudget(benchmark::State& state) {
   BoolCircuit circuit = workloads::MakeCoreTentacleCircuit(
       gen_rng, core, tentacles, registry, &root);
   double exact = registry.size() <= 22
-                     ? ExhaustiveProbability(circuit, root, registry)
+                     ? ExhaustiveEngine().Estimate(circuit, root,
+                                                   registry).value
                      : -1;
-  Rng rng(9);
+  SamplingEngine sampler(samples, /*seed=*/9);
   double p = 0;
   for (auto _ : state) {
-    p = SampleProbability(circuit, root, registry, samples, rng);
+    p = sampler.Estimate(circuit, root, registry).value;
     benchmark::DoNotOptimize(p);
   }
   state.counters["estimate"] = p;
@@ -87,18 +88,18 @@ void BM_HybridVsSamplingRmse(benchmark::State& state) {
       workloads::MakeCoreTentacleCircuit(gen_rng, 8, 6, registry, &root);
   std::vector<EventId> core_events =
       SelectCoreEvents(circuit, root, 3, 6);
-  double exact = ExhaustiveProbability(circuit, root, registry);
+  double exact = ExhaustiveEngine().Estimate(circuit, root, registry).value;
   const int kTrials = 20;
   double hybrid_se = 0, mc_se = 0;
   for (auto _ : state) {
     hybrid_se = mc_se = 0;
     for (int t = 0; t < kTrials; ++t) {
-      Rng rng(100 + t);
-      double h = HybridProbability(circuit, root, registry, core_events,
-                                   samples, rng)
+      double h = HybridEngine(3, 6, samples, /*seed=*/100 + t)
+                     .EstimateWithCore(circuit, root, registry, core_events)
                      .value;
-      Rng rng2(100 + t);
-      double m = SampleProbability(circuit, root, registry, samples, rng2);
+      double m = SamplingEngine(samples, /*seed=*/100 + t)
+                     .Estimate(circuit, root, registry)
+                     .value;
       hybrid_se += (h - exact) * (h - exact);
       mc_se += (m - exact) * (m - exact);
     }

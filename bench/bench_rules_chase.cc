@@ -52,7 +52,8 @@ void BM_ChaseDepthSweep(benchmark::State& state) {
       if (fact.args == std::vector<Value>{x0, xn}) {
         BoolCircuit c;
         GateId g = c.AddFormula(result.instance.annotation(f));
-        p_far = JunctionTreeProbability(c, g, result.instance.events());
+        p_far = JunctionTreeEngine().Estimate(c, g,
+                                              result.instance.events()).value;
       }
     }
     benchmark::DoNotOptimize(p_far);

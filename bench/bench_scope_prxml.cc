@@ -28,7 +28,8 @@ void BM_ScopeSweep(benchmark::State& state) {
   double p = 0;
   for (auto _ : state) {
     GateId lineage = PatternLineage(pattern, doc);
-    p = JunctionTreeProbability(doc.circuit(), lineage, doc.events());
+    p = JunctionTreeEngine().Estimate(doc.circuit(), lineage,
+                                      doc.events()).value;
     benchmark::DoNotOptimize(p);
   }
   state.counters["entities"] = entities;
@@ -51,7 +52,8 @@ void BM_ScopeFixedGrowDocument(benchmark::State& state) {
   double p = 0;
   for (auto _ : state) {
     GateId lineage = PatternLineage(pattern, doc);
-    p = JunctionTreeProbability(doc.circuit(), lineage, doc.events());
+    p = JunctionTreeEngine().Estimate(doc.circuit(), lineage,
+                                      doc.events()).value;
     benchmark::DoNotOptimize(p);
   }
   state.counters["entities"] = entities;

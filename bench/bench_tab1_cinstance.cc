@@ -51,12 +51,14 @@ void BM_Table1FullWorkflow(benchmark::State& state) {
     ConjunctiveQuery q;
     q.AddAtom(0, {Term::V(0), Term::C(2)});  // Some leg into Portland.
     GateId lineage = ComputeCqLineage(q, pcc);
-    p_pdx = JunctionTreeProbability(pcc.circuit(), lineage, pcc.events());
+    p_pdx = JunctionTreeEngine().Estimate(pcc.circuit(), lineage,
+                                          pcc.events()).value;
     CInstance cond = ConditionOnEventLiteral(ci, 0, true);
     PccInstance pcc2 = PccInstance::FromCInstance(cond);
     GateId lineage2 = ComputeCqLineage(q, pcc2);
     p_pdx_given_pods =
-        JunctionTreeProbability(pcc2.circuit(), lineage2, pcc2.events());
+        JunctionTreeEngine().Estimate(pcc2.circuit(), lineage2,
+                                      pcc2.events()).value;
     benchmark::DoNotOptimize(p_pdx_given_pods);
   }
   state.counters["possible_facts"] = possible;
@@ -86,7 +88,8 @@ void BM_TripChain(benchmark::State& state) {
   for (auto _ : state) {
     PccInstance fresh = PccInstance::FromCInstance(ci);
     GateId lineage = ComputeCqLineage(q, fresh);
-    p = JunctionTreeProbability(fresh.circuit(), lineage, fresh.events());
+    p = JunctionTreeEngine().Estimate(fresh.circuit(), lineage,
+                                      fresh.events()).value;
     benchmark::DoNotOptimize(p);
   }
   state.counters["legs"] = n;

@@ -9,7 +9,7 @@
 
 #include <benchmark/benchmark.h>
 
-#include "inference/exhaustive.h"
+#include "inference/engine.h"
 #include "inference/junction_tree.h"
 #include "queries/conjunctive_query.h"
 #include "queries/lineage.h"
@@ -35,9 +35,11 @@ void BM_Theorem1Pipeline(benchmark::State& state) {
   for (auto _ : state) {
     PccInstance pcc = PccInstance::FromCInstance(pc);
     GateId lineage = ComputeCqLineage(q, pcc, &stats);
-    p = JunctionTreeProbability(pcc.circuit(), lineage, pcc.events(),
-                                &jt_stats);
-    benchmark::DoNotOptimize(p);
+    EngineResult result =
+        JunctionTreeEngine().Estimate(pcc.circuit(), lineage, pcc.events());
+    benchmark::DoNotOptimize(result);
+    p = result.value;
+    jt_stats = result.stats;
   }
   state.counters["n"] = n;
   state.counters["k"] = k;
@@ -67,7 +69,7 @@ void BM_NaiveEnumerationBaseline(benchmark::State& state) {
   }
   double p = 0;
   for (auto _ : state) {
-    p = ExhaustiveProbability(pcc.circuit(), lineage, pcc.events());
+    p = ExhaustiveEngine().Estimate(pcc.circuit(), lineage, pcc.events()).value;
     benchmark::DoNotOptimize(p);
   }
   state.counters["facts"] = static_cast<double>(tid.NumFacts());
@@ -84,8 +86,10 @@ void BM_Theorem1Agreement(benchmark::State& state) {
   GateId lineage = ComputeCqLineage(q, pcc);
   double mp = 0, exact = 0;
   for (auto _ : state) {
-    mp = JunctionTreeProbability(pcc.circuit(), lineage, pcc.events());
-    exact = ExhaustiveProbability(pcc.circuit(), lineage, pcc.events());
+    mp = JunctionTreeEngine().Estimate(pcc.circuit(), lineage,
+                                       pcc.events()).value;
+    exact = ExhaustiveEngine().Estimate(pcc.circuit(), lineage,
+                                        pcc.events()).value;
     benchmark::DoNotOptimize(mp);
   }
   state.counters["message_passing"] = mp;

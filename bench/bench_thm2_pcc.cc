@@ -31,9 +31,11 @@ void BM_Theorem2Window(benchmark::State& state) {
     PccInstance pcc = workloads::MakeCorrelatedPcc(fresh_rng, n, window);
     state.ResumeTiming();
     GateId lineage = ComputeCqLineage(q, pcc);
-    p = JunctionTreeProbability(pcc.circuit(), lineage, pcc.events(),
-                                &jt_stats);
-    benchmark::DoNotOptimize(p);
+    EngineResult result =
+        JunctionTreeEngine().Estimate(pcc.circuit(), lineage, pcc.events());
+    benchmark::DoNotOptimize(result);
+    p = result.value;
+    jt_stats = result.stats;
   }
   // Width of the joint instance+circuit graph (min-fill estimate).
   Rng measure_rng(42);
@@ -60,7 +62,8 @@ void BM_Theorem2Scaling(benchmark::State& state) {
     PccInstance pcc = workloads::MakeCorrelatedPcc(rng, n, 3);
     state.ResumeTiming();
     GateId lineage = ComputeCqLineage(q, pcc);
-    p = JunctionTreeProbability(pcc.circuit(), lineage, pcc.events());
+    p = JunctionTreeEngine().Estimate(pcc.circuit(), lineage,
+                                      pcc.events()).value;
     benchmark::DoNotOptimize(p);
   }
   state.counters["n"] = n;

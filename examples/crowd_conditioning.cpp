@@ -11,7 +11,7 @@
 #include <vector>
 
 #include "inference/conditioning.h"
-#include "inference/junction_tree.h"
+#include "inference/engine.h"
 #include "prxml/pattern_eval.h"
 #include "prxml/prxml_document.h"
 #include "prxml/tree_pattern.h"
@@ -50,17 +50,17 @@ int main() {
   std::printf("Hidden truth: %s\n\n",
               truth.ToString(doc.events()).c_str());
 
-  // Greedy entropy-minimising questioning.
+  // Greedy entropy-minimising questioning. Every probability below is
+  // of the same query gate under different pinned answers, so one
+  // plan-caching engine builds its message-passing plan once.
+  JunctionTreeEngine engine(/*cache_plans=*/true);
   std::vector<EventId> askable = contributors;
   std::vector<std::pair<EventId, bool>> answers;
   std::printf("%-5s %-14s %-10s %-10s\n", "step", "asked", "P(query)",
               "entropy");
   for (int step = 0; !askable.empty(); ++step) {
-    double p = answers.empty()
-                   ? JunctionTreeProbability(doc.circuit(), query,
-                                             doc.events())
-                   : JunctionTreeProbabilityWithEvidence(
-                         doc.circuit(), query, doc.events(), answers);
+    double p = engine.Estimate(doc.circuit(), query, doc.events(), answers)
+                   .value;
     std::printf("%-5d %-14s %-10.4f %-10.4f\n", step,
                 step == 0 ? "-" : doc.events().name(answers.back().first)
                                        .c_str(),
@@ -77,11 +77,11 @@ int main() {
     for (EventId e : askable) {
       auto with = answers;
       with.emplace_back(e, true);
-      double pt = JunctionTreeProbabilityWithEvidence(doc.circuit(), query,
-                                                      doc.events(), with);
+      double pt = engine.Estimate(doc.circuit(), query, doc.events(), with)
+                      .value;
       with.back().second = false;
-      double pf = JunctionTreeProbabilityWithEvidence(doc.circuit(), query,
-                                                      doc.events(), with);
+      double pf = engine.Estimate(doc.circuit(), query, doc.events(), with)
+                      .value;
       double pe = doc.events().probability(e);
       double expected =
           pe * BinaryEntropy(pt) + (1 - pe) * BinaryEntropy(pf);

@@ -7,7 +7,7 @@
 
 #include <cstdio>
 
-#include "inference/junction_tree.h"
+#include "inference/engine.h"
 #include "rules/chase.h"
 #include "uncertain/pcc_instance.h"
 
@@ -56,6 +56,7 @@ int main() {
 
   const CInstance& chased = result.instance;
   std::printf("%-30s %-28s %s\n", "fact", "annotation", "probability");
+  JunctionTreeEngine engine;
   for (FactId f = 0; f < chased.NumFacts(); ++f) {
     const Fact& fact = chased.instance().fact(f);
     std::string shown = schema.name(fact.relation) + "(" +
@@ -63,7 +64,7 @@ int main() {
                         dict.name(fact.args[1]) + ")";
     BoolCircuit c;
     GateId g = c.AddFormula(chased.annotation(f));
-    double p = JunctionTreeProbability(c, g, chased.events());
+    double p = engine.Estimate(c, g, chased.events()).value;
     std::string ann = chased.annotation(f).ToString(chased.events());
     if (ann.size() > 26) ann = ann.substr(0, 23) + "...";
     std::printf("%-30s %-28s %.4f\n", shown.c_str(), ann.c_str(), p);

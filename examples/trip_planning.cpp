@@ -8,7 +8,7 @@
 #include <cstdio>
 
 #include "inference/conditioning.h"
-#include "inference/junction_tree.h"
+#include "inference/engine.h"
 #include "queries/conjunctive_query.h"
 #include "queries/lineage.h"
 #include "uncertain/c_instance.h"
@@ -55,7 +55,8 @@ int main() {
   ConjunctiveQuery q;
   q.AddAtom(trip, {Term::V(0), Term::C(pdx)});
   GateId lineage = ComputeCqLineage(q, pcc);
-  double p = JunctionTreeProbability(pcc.circuit(), lineage, pcc.events());
+  JunctionTreeEngine engine;
+  double p = engine.Estimate(pcc.circuit(), lineage, pcc.events()).value;
   std::printf("\nP(some trip lands in Portland) = %.4f  (= P(stoc))\n", p);
 
   // Conditioning (§4): the researcher's PODS paper got in (pods = true).
@@ -65,8 +66,7 @@ int main() {
   PccInstance pcc2 = PccInstance::FromCInstance(given_pods);
   GateId lineage2 = ComputeCqLineage(q, pcc2);
   std::printf("  P(some trip lands in Portland | pods) = %.4f\n",
-              JunctionTreeProbability(pcc2.circuit(), lineage2,
-                                      pcc2.events()));
+              engine.Estimate(pcc2.circuit(), lineage2, pcc2.events()).value);
 
   // Round-trip query: fly out of CDG and eventually back into CDG.
   ConjunctiveQuery round_trip;
@@ -74,6 +74,6 @@ int main() {
   round_trip.AddAtom(trip, {Term::V(1), Term::C(cdg)});
   GateId rt = ComputeCqLineage(round_trip, pcc);
   std::printf("\nP(leave CDG and some leg returns to CDG) = %.4f\n",
-              JunctionTreeProbability(pcc.circuit(), rt, pcc.events()));
+              engine.Estimate(pcc.circuit(), rt, pcc.events()).value);
   return 0;
 }

@@ -7,7 +7,7 @@
 #include <cstdio>
 
 #include "inference/conditioning.h"
-#include "inference/junction_tree.h"
+#include "inference/engine.h"
 #include "prxml/pattern_eval.h"
 #include "prxml/prxml_document.h"
 #include "prxml/tree_pattern.h"
@@ -50,10 +50,11 @@ int main() {
               doc.IsLocal() ? "local" : "with global events",
               doc.MaxScopeSize());
 
+  JunctionTreeEngine engine;
   auto prob = [&](const TreePattern& pattern) {
     // PatternLineage is non-const (it adds gates); doc is ours.
     GateId lineage = PatternLineage(pattern, doc);
-    return JunctionTreeProbability(doc.circuit(), lineage, doc.events());
+    return engine.Estimate(doc.circuit(), lineage, doc.events()).value;
   };
 
   std::printf("P(//musician)        = %.3f   (ind edge, 0.4)\n",
@@ -79,9 +80,9 @@ int main() {
       PatternLineage(TreePattern::LabelExists("Manning"), doc);
   GateId pob_lineage =
       PatternLineage(TreePattern::LabelExists("Crescent"), doc);
-  auto conditioned = ConditionalProbability(doc.circuit(), pob_lineage,
-                                            surname_lineage, doc.events());
+  EngineResult conditioned = ConditionalProbability(
+      doc.circuit(), pob_lineage, surname_lineage, doc.events());
   std::printf("P(place of birth | surname observed) = %.3f\n",
-              conditioned.value_or(-1.0));
+              conditioned.ok() ? conditioned.value : -1.0);
   return 0;
 }

@@ -2,19 +2,32 @@
 
 #include <cmath>
 
-#include "inference/junction_tree.h"
 #include "util/check.h"
 
 namespace tud {
 
-std::optional<double> ConditionalProbability(BoolCircuit& circuit,
-                                             GateId query, GateId observation,
-                                             const EventRegistry& registry) {
-  double p_obs = JunctionTreeProbability(circuit, observation, registry);
-  if (p_obs <= 0.0) return std::nullopt;
-  GateId both = circuit.AddAnd(query, observation);
-  double p_both = JunctionTreeProbability(circuit, both, registry);
-  return p_both / p_obs;
+EngineResult ConditionalProbability(BoolCircuit& circuit, GateId query,
+                                    GateId observation,
+                                    const EventRegistry& registry,
+                                    const QueryBudget& budget) {
+  constexpr const char* kName = "conditioning";
+  if (query >= circuit.NumGates()) {
+    return MakeStatusResult(kName, EngineStatus::kInvalidArgument);
+  }
+  JunctionTreeEngine engine;
+  const EngineResult obs =
+      engine.Estimate(circuit, observation, registry, {}, budget);
+  if (!obs.ok()) return MakeStatusResult(kName, obs.status);
+  // A zero-probability observation has no conditional: a malformed
+  // request, not a reason to abort the process.
+  if (obs.value <= 0.0) {
+    return MakeStatusResult(kName, EngineStatus::kInvalidArgument);
+  }
+  EngineResult result = engine.Estimate(
+      circuit, circuit.AddAnd(query, observation), registry, {}, budget);
+  result.engine = kName;
+  if (result.ok()) result.value /= obs.value;
+  return result;
 }
 
 BoolFormula SubstituteEvent(const BoolFormula& formula, EventId event,
@@ -64,26 +77,35 @@ double BinaryEntropy(double p) {
   return -p * std::log2(p) - (1.0 - p) * std::log2(1.0 - p);
 }
 
-std::optional<QuestionChoice> SelectBestQuestion(
-    BoolCircuit& circuit, GateId query, const EventRegistry& registry,
-    const std::vector<EventId>& candidates) {
-  if (candidates.empty()) return std::nullopt;
-  double current = BinaryEntropy(
-      JunctionTreeProbability(circuit, query, registry));
-  std::optional<QuestionChoice> best;
-  for (EventId e : candidates) {
-    double pe = registry.probability(e);
-    double p_true = JunctionTreeProbabilityWithEvidence(
-        circuit, query, registry, {{e, true}});
-    double p_false = JunctionTreeProbabilityWithEvidence(
-        circuit, query, registry, {{e, false}});
-    double expected =
-        pe * BinaryEntropy(p_true) + (1.0 - pe) * BinaryEntropy(p_false);
-    if (!best.has_value() || expected < best->expected_entropy) {
-      best = QuestionChoice{e, expected, current};
+EngineStatus SelectBestQuestion(const BoolCircuit& circuit, GateId query,
+                                const EventRegistry& registry,
+                                const std::vector<EventId>& candidates,
+                                QuestionChoice* choice) {
+  if (candidates.empty()) return EngineStatus::kInvalidArgument;
+  // Every evaluation is of the same root under different pins: one
+  // cached plan serves all of them.
+  JunctionTreeEngine engine(/*cache_plans=*/true);
+  const EngineResult prior = engine.Estimate(circuit, query, registry);
+  if (!prior.ok()) return prior.status;
+  QuestionChoice best{candidates[0], 0.0, BinaryEntropy(prior.value)};
+  for (size_t i = 0; i < candidates.size(); ++i) {
+    const EventId e = candidates[i];
+    const EngineResult yes = engine.Estimate(circuit, query, registry,
+                                             {{e, true}});
+    if (!yes.ok()) return yes.status;
+    const EngineResult no = engine.Estimate(circuit, query, registry,
+                                            {{e, false}});
+    if (!no.ok()) return no.status;
+    const double pe = registry.probability(e);
+    const double expected =
+        pe * BinaryEntropy(yes.value) + (1.0 - pe) * BinaryEntropy(no.value);
+    if (i == 0 || expected < best.expected_entropy) {
+      best.event = e;
+      best.expected_entropy = expected;
     }
   }
-  return best;
+  *choice = best;
+  return EngineStatus::kOk;
 }
 
 }  // namespace tud

@@ -7,13 +7,10 @@
 #include <optional>
 
 #include "bdd/bdd.h"
+#include "events/valuation.h"
 #include "inference/conditioning.h"
-#include "inference/exhaustive.h"
 #include "inference/hybrid.h"
 #include "inference/junction_tree.h"
-#include "inference/sampling.h"
-#include "treedec/elimination.h"
-#include "treedec/graph.h"
 #include "util/check.h"
 
 namespace tud {
@@ -36,19 +33,44 @@ std::pair<BoolCircuit, GateId> PinEvidence(const BoolCircuit& circuit,
   return RestrictCircuit(circuit, root, fixed);
 }
 
-size_t CountConeEvents(const BoolCircuit& circuit, GateId root) {
+/// Runs `fn(cone circuit, cone root)` on the circuit with the evidence
+/// pinned (PinEvidence), or on the caller's circuit when there is none.
+template <typename Fn>
+EngineResult OnPinnedCircuit(const BoolCircuit& circuit, GateId root,
+                             const EventRegistry& registry,
+                             const Evidence& evidence, Fn&& fn) {
+  if (evidence.empty()) return fn(circuit, root);
+  auto [restricted, restricted_root] =
+      PinEvidence(circuit, root, registry, evidence);
+  return fn(restricted, restricted_root);
+}
+
+/// The distinct events under `root`, in first-reached order.
+std::vector<EventId> ConeEvents(const BoolCircuit& circuit, GateId root) {
   std::vector<bool> seen(circuit.NumEvents(), false);
-  size_t count = 0;
+  std::vector<EventId> events;
   for (GateId g : circuit.ReachableFrom(root)) {
     if (circuit.kind(g) != GateKind::kVar) continue;
     EventId e = circuit.var(g);
     if (!seen[e]) {
       seen[e] = true;
-      ++count;
+      events.push_back(e);
     }
   }
-  return count;
+  return events;
 }
+
+/// AutoEngine's ladder: the largest cone (in events) each exact
+/// enumeration rung takes, the widest min-degree estimate it sends to
+/// message passing, and the delegates' core selection and sample counts.
+constexpr size_t kAutoExhaustiveMaxEvents = 10;
+constexpr size_t kAutoBddMaxEvents = 18;
+constexpr int kAutoMaxWidth = 16;
+constexpr int kAutoHybridTargetWidth = 8;
+constexpr size_t kAutoHybridMaxCore = 12;
+constexpr uint32_t kAutoHybridSamples = 2000;
+constexpr uint32_t kAutoSamplingSamples = 20000;
+constexpr uint64_t kAutoSeed = 1;
 
 /// BuildImpl's hard cap on exact message passing (bags of up to 26
 /// vertices): a union whose min-degree estimate exceeds it cannot be
@@ -222,29 +244,38 @@ EngineResult ExhaustiveEngine::EstimateImpl(const BoolCircuit& circuit,
                                             const EventRegistry& registry,
                                             const Evidence& evidence,
                                             const QueryBudget& budget) {
-  EngineResult result;
-  result.engine = name();
-  BudgetMeter meter(budget);
-  auto run = [&](const BoolCircuit& c, GateId r) {
-    result.stats.cone_events = CountConeEvents(c, r);
-    double value = 0.0;
-    EngineStatus st = ExhaustiveProbabilityGoverned(c, r, registry, meter,
-                                                    &value);
-    if (st != EngineStatus::kOk) {
-      result.status = st;
-      result.error_bound = 1.0;
-      return;
-    }
-    result.value = value;
-  };
-  if (!evidence.empty()) {
-    auto [restricted, restricted_root] =
-        PinEvidence(circuit, root, registry, evidence);
-    run(restricted, restricted_root);
-  } else {
-    run(circuit, root);
-  }
-  return result;
+  return OnPinnedCircuit(
+      circuit, root, registry, evidence,
+      [&](const BoolCircuit& c, GateId r) {
+        const std::vector<EventId> used = ConeEvents(c, r);
+        EngineResult result;
+        result.engine = name();
+        result.stats.cone_events = used.size();
+        auto fail = [&](EngineStatus st) {
+          result.status = st;
+          result.error_bound = 1.0;
+          return result;
+        };
+        if (used.size() > 30u) return fail(EngineStatus::kResourceExhausted);
+        // One table cell per enumerated valuation.
+        BudgetMeter meter(budget);
+        double total = 0.0;
+        Valuation valuation(registry.size());
+        for (uint64_t mask = 0; mask < (1ULL << used.size()); ++mask) {
+          const EngineStatus st = meter.Charge(1);
+          if (st != EngineStatus::kOk) return fail(st);
+          double p = 1.0;
+          for (size_t i = 0; i < used.size(); ++i) {
+            bool bit = (mask >> i) & 1;
+            valuation.set_value(used[i], bit);
+            double pe = registry.probability(used[i]);
+            p *= bit ? pe : (1.0 - pe);
+          }
+          if (c.Evaluate(r, valuation)) total += p;
+        }
+        result.value = total;
+        return result;
+      });
 }
 
 // One reusable Execute arena per OS thread: the message pass becomes
@@ -532,7 +563,7 @@ EngineResult BddEngine::EstimateImpl(const BoolCircuit& circuit, GateId root,
     probs[e] = registry.probability(e);
   }
   BddManager manager(num_levels);
-  result.stats.cone_events = CountConeEvents(cone, cone_root);
+  result.stats.cone_events = ConeEvents(cone, cone_root).size();
   // The cell cap doubles as a node cap on the compilation, so a
   // blowing-up BDD trips resource_exhausted instead of eating memory.
   BudgetMeter meter(budget);
@@ -558,13 +589,9 @@ EngineResult ConditioningEngine::EstimateImpl(const BoolCircuit& circuit,
     return EstimateWithPlan(JunctionTreePlan::Build(circuit, root, budget),
                             name(), registry, {}, ThreadScratch(), budget);
   }
-  EngineResult result;
-  result.engine = name();
-  // The §4 route: materialise the observation as a gate and compute
-  // P(root ∧ obs) / P(obs) with two message-passing runs, each over a
-  // budget-gated plan (the caps apply to each run; a trip in either
-  // fails the conditional). Works on a copy — the adapter's contract is
-  // not to grow the caller's circuit.
+  // The §4 route: materialise the observation as a gate and condition on
+  // it. Works on a copy — the adapter's contract is not to grow the
+  // caller's circuit.
   BoolCircuit working = circuit;
   std::vector<GateId> literals;
   literals.reserve(evidence.size());
@@ -573,30 +600,7 @@ EngineResult ConditioningEngine::EstimateImpl(const BoolCircuit& circuit,
     literals.push_back(v ? var : working.AddNot(var));
   }
   GateId observation = working.AddAnd(std::move(literals));
-  GateId joint = working.AddAnd({root, observation});
-  double p_obs = 0.0;
-  double p_joint = 0.0;
-  for (const auto& [target, out] :
-       {std::pair<GateId, double*>{observation, &p_obs},
-        std::pair<GateId, double*>{joint, &p_joint}}) {
-    EngineStatus st = JunctionTreePlan::Build(working, target, budget)
-                          .ExecuteGoverned(registry, {}, ThreadScratch(),
-                                           budget, out);
-    if (st != EngineStatus::kOk) {
-      result.status = st;
-      result.error_bound = 1.0;
-      return result;
-    }
-    // A zero-probability observation has no conditional — a malformed
-    // request, not a reason to abort the process.
-    if (p_obs <= 0.0) {
-      result.status = EngineStatus::kInvalidArgument;
-      result.error_bound = 1.0;
-      return result;
-    }
-  }
-  result.value = p_joint / p_obs;
-  return result;
+  return ConditionalProbability(working, root, observation, registry, budget);
 }
 
 // ---------------------------------------------------------------------------
@@ -608,44 +612,42 @@ EngineResult SamplingEngine::EstimateImpl(const BoolCircuit& circuit,
                                           const EventRegistry& registry,
                                           const Evidence& evidence,
                                           const QueryBudget& budget) {
-  EngineResult result;
-  result.engine = name();
-  // Error bound: normal approximation, with the rule-of-three at the
-  // degenerate empirical extremes (p-hat of exactly 0 or 1 would
-  // otherwise report error 0, i.e. claim an unconverged estimate is
-  // exact).
-  auto bound_for = [](double p, uint32_t n) {
-    return p > 0.0 && p < 1.0 ? 1.96 * std::sqrt(p * (1.0 - p) / n)
-                              : 3.0 / n;
-  };
   // A sample cap lowers the target up front; a deadline or cancellation
   // mid-loop keeps the estimate over the samples actually drawn (a
   // degraded kOk answer with an honest bound), failing only when not a
   // single sample completed.
   uint32_t target = num_samples_;
   if (budget.max_samples != 0) target = std::min(target, budget.max_samples);
-  BudgetMeter meter(budget);
-  double value = 0.0;
-  uint32_t done = 0;
-  EngineStatus st;
-  if (!evidence.empty()) {
-    auto [restricted, restricted_root] =
-        PinEvidence(circuit, root, registry, evidence);
-    st = SampleProbabilityGoverned(restricted, restricted_root, registry,
-                                   target, rng_, meter, &value, &done);
-  } else {
-    st = SampleProbabilityGoverned(circuit, root, registry, target, rng_,
-                                   meter, &value, &done);
-  }
-  result.stats.num_samples = done;
-  if (done == 0 && st != EngineStatus::kOk) {
-    result.status = st;
-    result.error_bound = 1.0;
-    return result;
-  }
-  result.value = value;
-  result.error_bound = bound_for(value, done);
-  return result;
+  TUD_CHECK_GT(target, 0u);
+  return OnPinnedCircuit(
+      circuit, root, registry, evidence, [&](const BoolCircuit& c, GateId r) {
+        // One sample touches roughly every gate once.
+        const uint64_t cells_per_sample = std::max<uint64_t>(1, c.NumGates());
+        BudgetMeter meter(budget);
+        EngineStatus st = EngineStatus::kOk;
+        uint32_t hits = 0;
+        uint32_t done = 0;
+        for (; done < target; ++done) {
+          st = meter.Charge(cells_per_sample);
+          if (st != EngineStatus::kOk) break;
+          if (c.Evaluate(r, Valuation::Sample(registry, rng_))) ++hits;
+        }
+        if (done == 0 && st != EngineStatus::kOk) {
+          return MakeStatusResult(name(), st);
+        }
+        EngineResult result;
+        result.engine = name();
+        result.stats.num_samples = done;
+        result.value = static_cast<double>(hits) / done;
+        // Normal approximation, with the rule-of-three at the degenerate
+        // empirical extremes (p-hat of exactly 0 or 1 would otherwise
+        // report error 0, i.e. claim an unconverged estimate is exact).
+        const double p = result.value;
+        result.error_bound = p > 0.0 && p < 1.0
+                                 ? 1.96 * std::sqrt(p * (1.0 - p) / done)
+                                 : 3.0 / done;
+        return result;
+      });
 }
 
 EngineResult HybridEngine::EstimateImpl(const BoolCircuit& circuit,
@@ -653,15 +655,12 @@ EngineResult HybridEngine::EstimateImpl(const BoolCircuit& circuit,
                                         const EventRegistry& registry,
                                         const Evidence& evidence,
                                         const QueryBudget& budget) {
-  if (!evidence.empty()) {
-    auto [restricted, restricted_root] =
-        PinEvidence(circuit, root, registry, evidence);
-    Evidence none;
-    return EstimateImpl(restricted, restricted_root, registry, none, budget);
-  }
-  return EstimateWithCore(
-      circuit, root, registry,
-      SelectCoreEvents(circuit, root, target_width_, max_core_), budget);
+  return OnPinnedCircuit(
+      circuit, root, registry, evidence, [&](const BoolCircuit& c, GateId r) {
+        return EstimateWithCore(
+            c, r, registry, SelectCoreEvents(c, r, target_width_, max_core_),
+            budget);
+      });
 }
 
 EngineResult HybridEngine::EstimateWithCore(const BoolCircuit& circuit,
@@ -676,17 +675,53 @@ EngineResult HybridEngine::EstimateWithCore(const BoolCircuit& circuit,
   }
   uint32_t target = num_samples_;
   if (budget.max_samples != 0) target = std::min(target, budget.max_samples);
+  TUD_CHECK_GT(target, 0u);
+  // Sample the core events from their priors and run exact message
+  // passing on each restricted circuit; the estimate is the average of
+  // the exact conditionals.
   BudgetMeter meter(budget);
   EngineResult result;
-  EngineStatus st = HybridProbabilityGoverned(circuit, root, registry, core,
-                                              target, rng_, meter, &result);
   result.engine = name();
-  if (st != EngineStatus::kOk && result.stats.num_samples == 0) {
-    result.status = st;
-    result.error_bound = 1.0;
+  result.error_bound = 1.0;
+  double total = 0.0;
+  double total_sq = 0.0;
+  uint32_t done = 0;
+  EngineStatus st = EngineStatus::kOk;
+  std::vector<std::optional<bool>> fixed(registry.size());
+  for (; done < target; ++done) {
+    st = meter.CheckNow();
+    if (st != EngineStatus::kOk) break;
+    for (EventId e : core) fixed[e] = rng_.Bernoulli(registry.probability(e));
+    auto [restricted, restricted_root] = RestrictCircuit(circuit, root, fixed);
+    JunctionTreePlan plan =
+        JunctionTreePlan::Build(restricted, restricted_root);
+    st = plan.build_status();
+    if (st != EngineStatus::kOk) break;
+    // The whole restricted table set is about to be materialised; charge
+    // it up front so the cell cap trips before the arena is touched.
+    st = meter.Charge(static_cast<uint64_t>(plan.total_cells()));
+    if (st != EngineStatus::kOk) break;
+    double p = 0.0;
+    st = plan.ExecuteGoverned(registry, {}, nullptr, meter.budget(), &p);
+    if (st != EngineStatus::kOk) break;
+    total += p;
+    total_sq += p * p;
+    result.stats.width = std::max(result.stats.width, plan.width());
   }
-  // A mid-run trip with completed samples stays a degraded kOk answer:
-  // the estimate and its bound are honest for the samples drawn.
+  result.stats.num_samples = done;
+  if (done == 0) {
+    result.status = st;
+  } else {
+    // A mid-run trip with completed samples stays a degraded kOk answer:
+    // the estimate and its bound are honest for the samples drawn.
+    result.value = total / done;
+    if (done > 1) {
+      // 95% half-width from the sample variance of the per-sample exact
+      // conditionals (the Rao-Blackwellised estimator's spread).
+      double variance = (total_sq - total * total / done) / (done - 1);
+      result.error_bound = 1.96 * std::sqrt(std::max(variance, 0.0) / done);
+    }
+  }
   return result;
 }
 
@@ -694,30 +729,27 @@ EngineResult HybridEngine::EstimateWithCore(const BoolCircuit& circuit,
 // AutoEngine
 // ---------------------------------------------------------------------------
 
-AutoEngine::AutoEngine(const Limits& limits)
-    : limits_(limits),
-      hybrid_(limits.hybrid_target_width, limits.hybrid_max_core,
-              limits.hybrid_num_samples, limits.seed),
-      sampling_(limits.sampling_num_samples, limits.seed) {}
+AutoEngine::AutoEngine()
+    : hybrid_(kAutoHybridTargetWidth, kAutoHybridMaxCore, kAutoHybridSamples,
+              kAutoSeed),
+      sampling_(kAutoSamplingSamples, kAutoSeed) {}
 
 EngineResult AutoEngine::EstimateImpl(const BoolCircuit& circuit, GateId root,
                                       const EventRegistry& registry,
                                       const Evidence& evidence,
                                       const QueryBudget& budget) {
-  if (!evidence.empty()) {
-    // Pin once, then plan on the restricted circuit: pinning both
-    // shrinks the cone and is how every delegate would condition anyway.
-    auto [restricted, restricted_root] =
-        PinEvidence(circuit, root, registry, evidence);
-    return Plan(restricted, restricted_root, registry, budget);
-  }
-  return Plan(circuit, root, registry, budget);
+  // Pin once, then plan on the restricted circuit: pinning both shrinks
+  // the cone and is how every delegate would condition anyway.
+  return OnPinnedCircuit(circuit, root, registry, evidence,
+                         [&](const BoolCircuit& c, GateId r) {
+                           return Plan(c, r, registry, budget);
+                         });
 }
 
 EngineResult AutoEngine::Plan(const BoolCircuit& circuit, GateId root,
                               const EventRegistry& registry,
                               const QueryBudget& budget) {
-  const size_t cone_events = CountConeEvents(circuit, root);
+  const size_t cone_events = ConeEvents(circuit, root).size();
   const Evidence none;
   // Under a budget a rung that trips kResourceExhausted falls through to
   // the next cheaper rung (counted in stats.degradations); a deadline or
@@ -735,7 +767,7 @@ EngineResult AutoEngine::Plan(const BoolCircuit& circuit, GateId root,
            st == EngineStatus::kInvalidArgument;
   };
 
-  if (cone_events <= limits_.exhaustive_max_events) {
+  if (cone_events <= kAutoExhaustiveMaxEvents) {
     EngineResult result =
         exhaustive_.Estimate(circuit, root, registry, none, budget);
     if (result.status != EngineStatus::kResourceExhausted) {
@@ -743,7 +775,7 @@ EngineResult AutoEngine::Plan(const BoolCircuit& circuit, GateId root,
     }
     ++degradations;
   }
-  if (cone_events <= limits_.bdd_max_events) {
+  if (cone_events <= kAutoBddMaxEvents) {
     EngineResult result = bdd_.Estimate(circuit, root, registry, none, budget);
     if (result.status != EngineStatus::kResourceExhausted) {
       return finish(std::move(result));
@@ -757,7 +789,7 @@ EngineResult AutoEngine::Plan(const BoolCircuit& circuit, GateId root,
   // plan instead of being recomputed.
   JunctionTreeAnalysis analysis = JunctionTreeAnalysis::Analyze(circuit, root);
   const int width = analysis.trivial() ? 0 : analysis.MinDegreeWidth();
-  if (width <= limits_.jt_max_width) {
+  if (width <= kAutoMaxWidth) {
     EngineResult result = EstimateWithPlan(
         JunctionTreePlan::Build(std::move(analysis), budget), "junction_tree",
         registry, {}, ThreadScratch(), budget);
@@ -770,7 +802,7 @@ EngineResult AutoEngine::Plan(const BoolCircuit& circuit, GateId root,
     ++degradations;
   }
   std::vector<EventId> core = SelectCoreEvents(
-      circuit, root, limits_.hybrid_target_width, limits_.hybrid_max_core);
+      circuit, root, kAutoHybridTargetWidth, kAutoHybridMaxCore);
   if (!core.empty()) {
     // Only worth the per-sample exact runs if the core actually tames
     // the width; SelectCoreEvents stops early when it cannot.
@@ -778,16 +810,10 @@ EngineResult AutoEngine::Plan(const BoolCircuit& circuit, GateId root,
     for (EventId e : core) fixed[e] = true;
     auto [restricted, restricted_root] =
         RestrictCircuit(circuit, root, fixed);
-    auto [rbin, rremap] = restricted.Binarize();
-    GateId rroot = rremap[restricted_root];
-    int rwidth = 0;
-    if (rbin.kind(rroot) != GateKind::kConst) {
-      Graph rgraph(static_cast<uint32_t>(rbin.NumGates()));
-      for (const auto& [a, b] : rbin.PrimalEdges()) rgraph.AddEdge(a, b);
-      rwidth = static_cast<int>(
-          EliminationWidth(rgraph, CircuitMinDegreeOrder(rgraph)));
-    }
-    if (rwidth <= limits_.jt_max_width) {
+    const int rwidth =
+        JunctionTreeAnalysis::Analyze(restricted, restricted_root)
+            .MinDegreeWidth();
+    if (rwidth <= kAutoMaxWidth) {
       // Hand the selected core over: the hybrid engine would otherwise
       // repeat the whole SelectCoreEvents restrict/min-fill loop.
       EngineResult result =

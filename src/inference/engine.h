@@ -179,8 +179,9 @@ class ProbabilityEngine {
       const QueryBudget& budget);
 };
 
-/// Exact, by enumerating the valuations of the events in the cone (at
-/// most 30). Evidence is applied by restriction.
+/// Exact, by enumerating the 2^n valuations of the n events in the cone
+/// (the naive baseline and the tests' ground truth); a cone of more than
+/// 30 events is kResourceExhausted. Evidence is applied by restriction.
 class ExhaustiveEngine : public ProbabilityEngine {
  public:
   const char* name() const override { return "exhaustive"; }
@@ -341,8 +342,11 @@ class BddEngine : public ProbabilityEngine {
                             const QueryBudget& budget) override;
 };
 
-/// Monte-Carlo estimate over `num_samples` valuations. Evidence is
-/// applied by restriction (so the estimate is of the conditional).
+/// Monte-Carlo estimate over `num_samples` valuations: the approximation
+/// the paper says practitioners must fall back to on unrestricted
+/// instances (§1). Each sample is charged the circuit's gate count in
+/// table cells. Evidence is applied by restriction (so the estimate is
+/// of the conditional).
 class SamplingEngine : public ProbabilityEngine {
  public:
   explicit SamplingEngine(uint32_t num_samples = 10000, uint64_t seed = 1)
@@ -404,8 +408,9 @@ class HybridEngine : public ProbabilityEngine {
 };
 
 /// Exact, via the conditioning machinery of §4: evidence literals become
-/// an observation gate and the result is P(root ∧ obs) / P(obs), each
-/// computed by message passing. Numerically identical to pinning; kept
+/// an observation gate of a working copy of the circuit, and the result
+/// is ConditionalProbability (conditioning.h) of the root given that
+/// gate, P(root ∧ obs) / P(obs). Numerically identical to pinning; kept
 /// as an adapter because it exercises the revision pipeline.
 class ConditioningEngine : public ProbabilityEngine {
  public:
@@ -433,22 +438,12 @@ class ConditioningEngine : public ProbabilityEngine {
 /// decomposition — `auto` costs the same as a direct engine pick, and
 /// the handed-off decomposition is bit-identical to the one
 /// JunctionTreeEngine would derive itself (same code path). The hybrid
-/// escalation likewise hands its selected core event set over.
+/// escalation likewise hands its selected core event set over. The rung
+/// thresholds (at most 10 cone events for exhaustive, 18 for BDD, width
+/// 16 for message passing) and the delegates' sample counts are fixed.
 class AutoEngine : public ProbabilityEngine {
  public:
-  struct Limits {
-    uint32_t exhaustive_max_events = 10;  ///< Cone events for 2^n sweep.
-    uint32_t bdd_max_events = 18;         ///< Cone events for compilation.
-    int jt_max_width = 16;                ///< Width estimate for exact MP.
-    int hybrid_target_width = 8;          ///< Core selection target.
-    size_t hybrid_max_core = 12;
-    uint32_t hybrid_num_samples = 2000;
-    uint32_t sampling_num_samples = 20000;
-    uint64_t seed = 1;
-  };
-
-  AutoEngine() : AutoEngine(Limits{}) {}
-  explicit AutoEngine(const Limits& limits);
+  AutoEngine();
   const char* name() const override { return "auto"; }
 
  protected:
@@ -470,7 +465,6 @@ class AutoEngine : public ProbabilityEngine {
   EngineResult Plan(const BoolCircuit& circuit, GateId root,
                     const EventRegistry& registry, const QueryBudget& budget);
 
-  Limits limits_;
   ExhaustiveEngine exhaustive_;
   BddEngine bdd_;
   HybridEngine hybrid_;

@@ -1,13 +1,9 @@
 #include "inference/hybrid.h"
 
 #include <algorithm>
-#include <cmath>
-#include <unordered_set>
 
-#include "inference/junction_tree.h"
 #include "treedec/elimination.h"
 #include "treedec/graph.h"
-#include "util/check.h"
 
 namespace tud {
 
@@ -48,71 +44,6 @@ std::pair<BoolCircuit, GateId> RestrictCircuit(
   return {std::move(out), remap[root]};
 }
 
-EngineResult HybridProbability(const BoolCircuit& circuit, GateId root,
-                               const EventRegistry& registry,
-                               const std::vector<EventId>& core_events,
-                               uint32_t num_samples, Rng& rng) {
-  BudgetMeter unlimited;
-  EngineResult result;
-  result.status = HybridProbabilityGoverned(
-      circuit, root, registry, core_events, num_samples, rng, unlimited,
-      &result);
-  return result;
-}
-
-EngineStatus HybridProbabilityGoverned(const BoolCircuit& circuit, GateId root,
-                                       const EventRegistry& registry,
-                                       const std::vector<EventId>& core_events,
-                                       uint32_t num_samples, Rng& rng,
-                                       BudgetMeter& meter,
-                                       EngineResult* result) {
-  TUD_CHECK_GT(num_samples, 0u);
-  result->engine = "hybrid";
-  result->value = 0.0;
-  result->error_bound = 1.0;
-  double total = 0.0;
-  double total_sq = 0.0;
-  uint32_t done = 0;
-  EngineStatus st = EngineStatus::kOk;
-  std::vector<std::optional<bool>> fixed(registry.size());
-  for (uint32_t s = 0; s < num_samples; ++s) {
-    st = meter.CheckNow();
-    if (st != EngineStatus::kOk) break;
-    for (EventId e : core_events) {
-      fixed[e] = rng.Bernoulli(registry.probability(e));
-    }
-    auto [restricted, restricted_root] = RestrictCircuit(circuit, root, fixed);
-    JunctionTreePlan plan =
-        JunctionTreePlan::Build(restricted, restricted_root);
-    if (plan.build_status() != EngineStatus::kOk) {
-      st = plan.build_status();
-      break;
-    }
-    // The whole restricted table set is about to be materialised; charge
-    // it up front so the cell cap trips before the arena is touched.
-    st = meter.Charge(static_cast<uint64_t>(plan.total_cells()));
-    if (st != EngineStatus::kOk) break;
-    double p = 0.0;
-    st = plan.ExecuteGoverned(registry, {}, nullptr, meter.budget(), &p);
-    if (st != EngineStatus::kOk) break;
-    total += p;
-    total_sq += p * p;
-    ++done;
-    result->stats.width = std::max(result->stats.width, plan.width());
-  }
-  result->stats.num_samples = done;
-  if (done > 0) {
-    result->value = total / done;
-    if (done > 1) {
-      // 95% half-width from the sample variance of the per-sample exact
-      // conditionals (the Rao-Blackwellised estimator's spread).
-      double variance = (total_sq - total * total / done) / (done - 1);
-      result->error_bound = 1.96 * std::sqrt(std::max(variance, 0.0) / done);
-    }
-  }
-  return st;
-}
-
 std::vector<EventId> SelectCoreEvents(const BoolCircuit& circuit, GateId root,
                                       int target_width, size_t max_core) {
   // Greedy: repeatedly restrict the circuit by pinning the chosen core
@@ -120,7 +51,7 @@ std::vector<EventId> SelectCoreEvents(const BoolCircuit& circuit, GateId root,
   // width estimate), rebuild the binarised primal graph, and check the
   // min-fill width. Restriction folds away the gates that depended on
   // the pinned events, which is what actually shrinks the width of the
-  // per-sample inference problem in HybridProbability.
+  // per-sample inference problem in HybridEngine.
   std::vector<std::optional<bool>> fixed(circuit.NumEvents());
   std::vector<EventId> core;
   while (core.size() < max_core) {

@@ -1196,7 +1196,7 @@ size_t ConcurrentPlanCache::size() const {
 }
 
 // ---------------------------------------------------------------------------
-// One-shot conveniences
+// The shared execution step
 // ---------------------------------------------------------------------------
 
 EngineResult EstimateWithPlan(const JunctionTreePlan& plan, const char* engine,
@@ -1210,23 +1210,6 @@ EngineResult EstimateWithPlan(const JunctionTreePlan& plan, const char* engine,
       plan.ExecuteGoverned(registry, evidence, scratch, budget, &result.value);
   if (!result.ok()) result.error_bound = 1.0;
   return result;
-}
-
-double JunctionTreeProbability(const BoolCircuit& circuit, GateId root,
-                               const EventRegistry& registry,
-                               EngineStats* stats) {
-  return JunctionTreeProbabilityWithEvidence(circuit, root, registry, {},
-                                             stats);
-}
-
-double JunctionTreeProbabilityWithEvidence(const BoolCircuit& circuit,
-                                           GateId root,
-                                           const EventRegistry& registry,
-                                           const Evidence& evidence,
-                                           EngineStats* stats) {
-  JunctionTreePlan plan = JunctionTreePlan::Build(circuit, root);
-  plan.FillStats(stats);
-  return plan.Execute(registry, evidence);
 }
 
 }  // namespace tud

@@ -575,21 +575,6 @@ EngineResult EstimateWithPlan(const JunctionTreePlan& plan, const char* engine,
                               const Evidence& evidence, PlanScratch* scratch,
                               const QueryBudget& budget);
 
-/// One-shot convenience: Build + Execute, aborting on a plan too wide
-/// for exact message passing (engines run the budgeted path instead).
-/// If `stats` is non-null it receives run diagnostics (the width, bag
-/// and gate fields of the shared EngineStats shape).
-double JunctionTreeProbability(const BoolCircuit& circuit, GateId root,
-                               const EventRegistry& registry,
-                               EngineStats* stats = nullptr);
-
-/// As above with evidence pinning: the result is the conditional
-/// probability P(root = true | pinned values). Used by conditioning and
-/// by the hybrid core/tentacle engine.
-double JunctionTreeProbabilityWithEvidence(
-    const BoolCircuit& circuit, GateId root, const EventRegistry& registry,
-    const Evidence& evidence, EngineStats* stats = nullptr);
-
 }  // namespace tud
 
 #endif  // TUD_INFERENCE_JUNCTION_TREE_H_

@@ -13,9 +13,9 @@ namespace tud {
 /// (canonical form: satisfiable iff not the false terminal, valid iff
 /// the true terminal). Exponential in the worst case like any
 /// #SAT-complete task, but linear in the compiled size; on
-/// bounded-treewidth lineages the junction-tree route
-/// (JunctionTreeProbability > 0 / == 1) gives the same answers with a
-/// polynomial guarantee — tests cross-check the two.
+/// bounded-treewidth lineages the junction-tree route (a
+/// JunctionTreeEngine probability > 0 / == 1) gives the same answers
+/// with a polynomial guarantee — tests cross-check the two.
 
 /// True iff some valuation satisfies gate `root`.
 bool IsSatisfiable(const BoolCircuit& circuit, GateId root);

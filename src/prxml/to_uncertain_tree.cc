@@ -1,11 +1,12 @@
 #include "prxml/to_uncertain_tree.h"
 
 #include <functional>
+#include <limits>
 #include <utility>
 #include <vector>
 
 #include "automata/provenance_run.h"
-#include "inference/junction_tree.h"
+#include "inference/engine.h"
 #include "util/check.h"
 
 namespace tud {
@@ -93,8 +94,9 @@ double AutomatonProbability(const TreeAutomaton& automaton,
   // through the CSR tables.
   GateId lineage =
       ProvenanceRun(CompiledAutomaton::Compile(automaton), tree);
-  return JunctionTreeProbability(tree.circuit(), lineage,
-                                 document.events());
+  const EngineResult result =
+      JunctionTreeEngine().Estimate(tree.circuit(), lineage, document.events());
+  return result.ok() ? result.value : std::numeric_limits<double>::quiet_NaN();
 }
 
 }  // namespace tud

@@ -34,7 +34,8 @@ UncertainBinaryTree PrXmlToUncertainTree(const PrXmlDocument& document,
 
 /// Convenience: probability that `automaton` accepts the document's
 /// world, via the full §2.2 pipeline (translate, provenance-run,
-/// message passing).
+/// message passing through JunctionTreeEngine). NaN when the lineage's
+/// plan cannot be built (the engine's kResourceExhausted).
 double AutomatonProbability(const TreeAutomaton& automaton,
                             const PrXmlDocument& document,
                             XmlLabelMap& labels);

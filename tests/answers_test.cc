@@ -62,7 +62,8 @@ TEST(AnswerLineagesTest, PerAnswerProbabilities) {
   ASSERT_EQ(answers.size(), 2u);
   for (const AnswerLineage& a : answers) {
     double p =
-        JunctionTreeProbability(pcc.circuit(), a.lineage, pcc.events());
+        JunctionTreeEngine().Estimate(pcc.circuit(), a.lineage,
+                                      pcc.events()).value;
     if (a.tuple == std::vector<Value>{1}) {
       EXPECT_NEAR(p, 0.3, 1e-12);
     } else {
@@ -172,7 +173,7 @@ TEST(PossibilityTest, AgreesWithProbabilityBounds) {
       }
     }
     GateId root = pool.back();
-    double p = JunctionTreeProbability(c, root, registry);
+    double p = JunctionTreeEngine().Estimate(c, root, registry).value;
     EXPECT_EQ(IsSatisfiable(c, root), p > 0.0);
     EXPECT_EQ(IsValid(c, root), p == 1.0);
   }

@@ -8,7 +8,7 @@
 #include "automata/tree_automaton.h"
 #include "automata/uncertain_tree.h"
 #include "gtest/gtest.h"
-#include "inference/exhaustive.h"
+#include "inference/engine.h"
 #include "inference/junction_tree.h"
 #include "util/rng.h"
 
@@ -230,8 +230,9 @@ TEST_P(ProvenanceRunTest, ProbabilityViaMessagePassingMatchesEnumeration) {
   TreeAutomaton a = MakeExistsLabel(2, 1);
   GateId lineage = ProvenanceRun(a, tree);
   double exact =
-      ExhaustiveProbability(tree.circuit(), lineage, registry);
-  double mp = JunctionTreeProbability(tree.circuit(), lineage, registry);
+      ExhaustiveEngine().Estimate(tree.circuit(), lineage, registry).value;
+  double mp = JunctionTreeEngine().Estimate(tree.circuit(), lineage,
+                                            registry).value;
   EXPECT_NEAR(mp, exact, 1e-9);
 }
 

@@ -15,7 +15,7 @@
 #include "events/event_registry.h"
 #include "events/valuation.h"
 #include "gtest/gtest.h"
-#include "inference/exhaustive.h"
+#include "inference/engine.h"
 #include "util/rng.h"
 
 namespace tud {
@@ -148,8 +148,10 @@ TEST(AutomatonExprTest, ProvenanceThroughCompiledExprMatchesLegacyRoute) {
       TreeAutomaton::Product(has_one, has_two.Complement(), true);
   GateId legacy_lineage = ProvenanceRun(legacy, tree);
 
-  EXPECT_NEAR(ExhaustiveProbability(tree.circuit(), expr_lineage, registry),
-              ExhaustiveProbability(tree.circuit(), legacy_lineage, registry),
+  EXPECT_NEAR(ExhaustiveEngine().Estimate(tree.circuit(), expr_lineage,
+                                          registry).value,
+              ExhaustiveEngine().Estimate(tree.circuit(), legacy_lineage,
+                                          registry).value,
               1e-12);
 }
 

@@ -2,7 +2,7 @@
 
 #include "bdd/bdd.h"
 #include "gtest/gtest.h"
-#include "inference/exhaustive.h"
+#include "inference/engine.h"
 #include "util/rng.h"
 
 namespace tud {
@@ -128,7 +128,8 @@ TEST_P(BddCircuitTest, WmcMatchesExhaustive) {
   std::vector<uint32_t> levels(kEvents);
   for (uint32_t i = 0; i < kEvents; ++i) levels[i] = i;
   BddRef f = mgr.FromCircuit(c, root, levels);
-  EXPECT_NEAR(mgr.Wmc(f, probs), ExhaustiveProbability(c, root, registry),
+  EXPECT_NEAR(mgr.Wmc(f, probs),
+              ExhaustiveEngine().Estimate(c, root, registry).value,
               1e-10);
 }
 

@@ -12,7 +12,6 @@
 
 #include "gtest/gtest.h"
 #include "inference/engine.h"
-#include "inference/exhaustive.h"
 #include "inference/hybrid.h"
 #include "inference/junction_tree.h"
 #include "util/rng.h"
@@ -61,7 +60,8 @@ double ExactConditional(const BoolCircuit& circuit, GateId root,
   std::vector<std::optional<bool>> fixed(registry.size());
   for (const auto& [e, v] : evidence) fixed[e] = v;
   auto [restricted, restricted_root] = RestrictCircuit(circuit, root, fixed);
-  return ExhaustiveProbability(restricted, restricted_root, registry);
+  return ExhaustiveEngine().Estimate(restricted, restricted_root,
+                                     registry).value;
 }
 
 class EngineEquivalenceTest : public ::testing::TestWithParam<int> {};
@@ -71,7 +71,7 @@ TEST_P(EngineEquivalenceTest, ExactEnginesMatchEnumeration) {
   GateId root;
   BoolCircuit c = RandomCircuit(rng, 7, 25, &root);
   EventRegistry registry = RandomRegistry(rng, 7);
-  const double exact = ExhaustiveProbability(c, root, registry);
+  const double exact = ExhaustiveEngine().Estimate(c, root, registry).value;
 
   ExhaustiveEngine exhaustive;
   JunctionTreeEngine junction_tree;
@@ -92,7 +92,7 @@ TEST_P(EngineEquivalenceTest, SamplingEnginesConverge) {
   GateId root;
   BoolCircuit c = RandomCircuit(rng, 8, 30, &root);
   EventRegistry registry = RandomRegistry(rng, 8);
-  const double exact = ExhaustiveProbability(c, root, registry);
+  const double exact = ExhaustiveEngine().Estimate(c, root, registry).value;
 
   SamplingEngine sampling(40000, GetParam() + 1);
   EngineResult sampled = sampling.Estimate(c, root, registry);
@@ -145,7 +145,8 @@ TEST(AutoEngineTest, PicksExhaustiveOnTinyCones) {
   AutoEngine engine;
   EngineResult result = engine.Estimate(c, root, registry);
   EXPECT_STREQ(result.engine, "exhaustive");
-  EXPECT_NEAR(result.value, ExhaustiveProbability(c, root, registry), 1e-9);
+  EXPECT_NEAR(result.value,
+              ExhaustiveEngine().Estimate(c, root, registry).value, 1e-9);
 }
 
 TEST(AutoEngineTest, PicksBddOnMediumCones) {
@@ -162,7 +163,8 @@ TEST(AutoEngineTest, PicksBddOnMediumCones) {
   EngineResult result = engine.Estimate(c, root, registry);
   EXPECT_STREQ(result.engine, "bdd");
   EXPECT_GT(result.stats.bdd_nodes, 0u);
-  EXPECT_NEAR(result.value, ExhaustiveProbability(c, root, registry), 1e-9);
+  EXPECT_NEAR(result.value,
+              ExhaustiveEngine().Estimate(c, root, registry).value, 1e-9);
 }
 
 TEST(AutoEngineTest, PicksJunctionTreeOnWideEventNarrowWidthCones) {
@@ -190,20 +192,31 @@ TEST(AutoEngineTest, HandedOffDecompositionIsBitIdentical) {
   // The planner's width estimate is a JunctionTreeAnalysis that it hands
   // to the junction-tree plan it builds; the engine computing its own
   // decomposition runs the exact same Analyze+Build path, so the two
-  // results must be bit-identical (not just within tolerance).
-  AutoEngine::Limits limits;
-  limits.exhaustive_max_events = 0;  // Force the planner past the small
-  limits.bdd_max_events = 0;         // cones straight to message passing.
+  // results must be bit-identical (not just within tolerance). A random
+  // chain over 24 events is past the exhaustive and BDD rungs' event
+  // limits but narrow, so the planner picks message passing.
+  constexpr uint32_t kEvents = 24;
   for (int seed = 0; seed < 10; ++seed) {
     Rng rng(seed + 600);
-    GateId root;
-    BoolCircuit c = RandomCircuit(rng, 9, 45, &root);
-    EventRegistry registry = RandomRegistry(rng, 9);
-    AutoEngine auto_engine(limits);
+    BoolCircuit c;
+    GateId prev = c.AddVar(0);
+    GateId root = prev;
+    for (EventId e = 1; e < kEvents; ++e) {
+      GateId lit = c.AddVar(e);
+      if (rng.UniformInt(2) == 0) lit = c.AddNot(lit);
+      const GateId pair =
+          rng.UniformInt(2) == 0 ? c.AddAnd(lit, prev) : c.AddOr(lit, prev);
+      root = rng.UniformInt(2) == 0 ? c.AddAnd(root, pair)
+                                    : c.AddOr(root, pair);
+      prev = lit;
+    }
+    EventRegistry registry = RandomRegistry(rng, kEvents);
+    AutoEngine auto_engine;
     JunctionTreeEngine direct;
     EngineResult handed = auto_engine.Estimate(c, root, registry);
     EngineResult computed = direct.Estimate(c, root, registry);
     ASSERT_STREQ(handed.engine, "junction_tree") << "seed " << seed;
+    EXPECT_EQ(handed.stats.cone_events, kEvents);
     EXPECT_EQ(handed.value, computed.value) << "seed " << seed;
     EXPECT_EQ(handed.stats.width, computed.stats.width);
     EXPECT_EQ(handed.stats.num_bags, computed.stats.num_bags);

@@ -76,8 +76,10 @@ LadderFixture MakeLadder(uint32_t rungs, uint32_t num_lineages) {
   }
   // Ground truth before any fault is armed.
   for (GateId lineage : f.lineages) {
-    f.expected.push_back(JunctionTreeProbability(
-        f.session.pcc().circuit(), lineage, f.session.pcc().events()));
+    f.expected.push_back(JunctionTreeEngine()
+                             .Estimate(f.session.pcc().circuit(), lineage,
+                                       f.session.pcc().events())
+                             .value);
   }
   return f;
 }

@@ -133,7 +133,7 @@ TEST(FcnsTest, AgreesAcrossPrXmlWorlds) {
 
 #include "automata/automaton_library.h"
 #include "automata/provenance_run.h"
-#include "inference/exhaustive.h"
+#include "inference/engine.h"
 #include "inference/junction_tree.h"
 #include "prxml/pattern_eval.h"
 #include "prxml/to_uncertain_tree.h"
@@ -194,13 +194,15 @@ TEST(PrXmlAutomatonTest, AutomatonPipelineMatchesPatternLineage) {
       MakeFcnsExistsBBelowA(tree.AlphabetSize(), la, lb);
   GateId lineage = ProvenanceRun(automaton, tree);
   double by_automaton =
-      ExhaustiveProbability(tree.circuit(), lineage, doc.events());
+      ExhaustiveEngine().Estimate(tree.circuit(), lineage, doc.events()).value;
 
   PrXmlDocument doc2 = SmallMixedDoc();
   TreePattern pattern = TreePattern::AncestorDescendant("a", "b");
   GateId pattern_lineage = PatternLineage(pattern, doc2);
-  double by_pattern = ExhaustiveProbability(doc2.circuit(), pattern_lineage,
-                                            doc2.events());
+  double by_pattern = ExhaustiveEngine()
+                          .Estimate(doc2.circuit(), pattern_lineage,
+                                    doc2.events())
+                          .value;
   EXPECT_NEAR(by_automaton, by_pattern, 1e-12);
 
   // And via the convenience wrapper with message passing.
@@ -224,7 +226,7 @@ TEST(PrXmlAutomatonTest, CountingAutomatonOnUncertainTree) {
   TreeAutomaton two_bs = MakeCountAtLeast(tree.AlphabetSize(), lb, 2);
   GateId lineage = ProvenanceRun(two_bs, tree);
   double by_automaton =
-      ExhaustiveProbability(tree.circuit(), lineage, doc.events());
+      ExhaustiveEngine().Estimate(tree.circuit(), lineage, doc.events()).value;
   double by_worlds = ProbabilityByEnumeration(
       doc.events(), [&](const Valuation& v) {
         XmlTree world = doc.World(v);

@@ -13,7 +13,7 @@
 //  - IncrementalSession's governed Probability trips recoverably;
 //  - a plan that fails to build is a typed status on every
 //    default-budget path too (one budgeted path per mode, no aborting
-//    twin);
+//    twin), §4 conditioning and question selection included;
 //  - the recoverable entry points of satellite 1 (TryRegister /
 //    TrySetProbability / bool UpdateProbability);
 //  - TaskScheduler contains a throwing task to itself (the worker and
@@ -31,6 +31,7 @@
 
 #include "gtest/gtest.h"
 #include "incremental/incremental_session.h"
+#include "inference/conditioning.h"
 #include "inference/engine.h"
 #include "inference/junction_tree.h"
 #include "queries/query_session.h"
@@ -228,6 +229,24 @@ TEST(GovernedEngineTest, FailedPlanOnDefaultBudgetPathsIsTypedStatus) {
   EXPECT_EQ(degraded.status, EngineStatus::kOk);
   EXPECT_GE(degraded.stats.degradations, 1u);
   EXPECT_STRNE(degraded.engine, "junction_tree");
+
+  // The §4 conditioning entry points and the hybrid body run the same
+  // plans, so they report the failed plan too.
+  BoolCircuit working = circuit;
+  const GateId observation = working.AddVar(0);
+  EXPECT_EQ(
+      ConditionalProbability(working, f.lineage, observation, events).status,
+      EngineStatus::kResourceExhausted);
+  QuestionChoice choice{};
+  EXPECT_EQ(SelectBestQuestion(circuit, f.lineage, events, {0, 1}, &choice),
+            EngineStatus::kResourceExhausted);
+  EXPECT_EQ(
+      ConditioningEngine().Estimate(circuit, f.lineage, events, {{0, true}})
+          .status,
+      EngineStatus::kResourceExhausted);
+  EXPECT_EQ(HybridEngine().EstimateWithCore(circuit, f.lineage, events, {0})
+                .status,
+            EngineStatus::kResourceExhausted);
 
   ServingOptions options;
   options.num_threads = 2;
@@ -510,8 +529,10 @@ TEST(IncrementalGovernanceTest, GovernedProbabilityTripsRecoverably) {
 
   // ...and the session recovers: the next budget-free query is
   // bit-identical to a fresh full evaluation of the current state.
-  const double fresh = JunctionTreeProbability(
-      session.pcc().circuit(), inc.root(q), session.pcc().events());
+  const double fresh = JunctionTreeEngine()
+                           .Estimate(session.pcc().circuit(), inc.root(q),
+                                     session.pcc().events())
+                           .value;
   EXPECT_EQ(inc.Probability(q).value, fresh);
 }
 

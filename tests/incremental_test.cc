@@ -263,9 +263,11 @@ TEST(IncrementalEquivalenceTest, ProbabilityOnlyStreamMatchesFreshSession) {
     }
     const GateId fresh_root = fresh.ReachabilityLineage(0, 0, 2 * rungs - 2);
     ASSERT_EQ(fresh_root, inc.root(q));
-    EXPECT_EQ(result.value, JunctionTreeProbability(fresh.pcc().circuit(),
-                                                    fresh_root,
-                                                    fresh.pcc().events()))
+    EXPECT_EQ(result.value,
+              JunctionTreeEngine()
+                  .Estimate(fresh.pcc().circuit(), fresh_root,
+                            fresh.pcc().events())
+                  .value)
         << "round " << round;
 
     // The session-level batch surface agrees bit-identically too.
@@ -338,8 +340,10 @@ TEST(IncrementalEquivalenceTest, StructuralMixMatchesRebuild) {
     QuerySession fresh(session.pcc());
     const GateId fresh_root = fresh.ReachabilityLineage(0, 0, 2 * rungs - 2);
     EXPECT_NEAR(result.value,
-                JunctionTreeProbability(fresh.pcc().circuit(), fresh_root,
-                                        fresh.pcc().events()),
+                JunctionTreeEngine()
+                    .Estimate(fresh.pcc().circuit(), fresh_root,
+                              fresh.pcc().events())
+                    .value,
                 1e-9)
         << "round " << round;
   }

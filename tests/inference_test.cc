@@ -5,10 +5,9 @@
 #include "gtest/gtest.h"
 #include "inference/conditioning.h"
 #include "inference/crowd.h"
-#include "inference/exhaustive.h"
+#include "inference/engine.h"
 #include "inference/hybrid.h"
 #include "inference/junction_tree.h"
-#include "inference/sampling.h"
 #include "util/rng.h"
 
 namespace tud {
@@ -54,24 +53,27 @@ TEST(ExhaustiveTest, SimpleCircuits) {
   BoolCircuit c;
   GateId a = c.AddVar(0);
   GateId b = c.AddVar(1);
-  EXPECT_NEAR(ExhaustiveProbability(c, c.AddAnd(a, b), registry), 0.125,
-              1e-12);
-  EXPECT_NEAR(ExhaustiveProbability(c, c.AddOr(a, b), registry), 0.625,
-              1e-12);
-  EXPECT_NEAR(ExhaustiveProbability(c, c.AddConst(true), registry), 1.0,
-              1e-12);
-  EXPECT_NEAR(ExhaustiveProbability(c, c.AddConst(false), registry), 0.0,
-              1e-12);
+  EXPECT_NEAR(ExhaustiveEngine().Estimate(c, c.AddAnd(a, b), registry).value,
+              0.125, 1e-12);
+  EXPECT_NEAR(ExhaustiveEngine().Estimate(c, c.AddOr(a, b), registry).value,
+              0.625, 1e-12);
+  EXPECT_NEAR(ExhaustiveEngine().Estimate(c, c.AddConst(true), registry).value,
+              1.0, 1e-12);
+  EXPECT_NEAR(ExhaustiveEngine().Estimate(c, c.AddConst(false), registry).value,
+              0.0, 1e-12);
 }
 
 TEST(JunctionTreeTest, ConstantAndSingleVar) {
   EventRegistry registry;
   registry.Register("a", 0.3);
   BoolCircuit c;
-  EXPECT_NEAR(JunctionTreeProbability(c, c.AddConst(true), registry), 1.0,
+  EXPECT_NEAR(JunctionTreeEngine().Estimate(c, c.AddConst(true),
+                                            registry).value, 1.0,
               1e-12);
-  EXPECT_NEAR(JunctionTreeProbability(c, c.AddVar(0), registry), 0.3, 1e-12);
-  EXPECT_NEAR(JunctionTreeProbability(c, c.AddNot(c.AddVar(0)), registry),
+  EXPECT_NEAR(JunctionTreeEngine().Estimate(c, c.AddVar(0), registry).value,
+              0.3, 1e-12);
+  EXPECT_NEAR(JunctionTreeEngine().Estimate(c, c.AddNot(c.AddVar(0)),
+                                            registry).value,
               0.7, 1e-12);
 }
 
@@ -85,8 +87,9 @@ TEST_P(ExactEnginesAgreeTest, ExhaustiveVsJunctionTreeVsBdd) {
   BoolCircuit c = RandomCircuit(rng, kEvents, 35, &root);
   EventRegistry registry = RandomRegistry(rng, kEvents);
 
-  double exhaustive = ExhaustiveProbability(c, root, registry);
-  double message_passing = JunctionTreeProbability(c, root, registry);
+  double exhaustive = ExhaustiveEngine().Estimate(c, root, registry).value;
+  double message_passing = JunctionTreeEngine().Estimate(c, root,
+                                                         registry).value;
   EXPECT_NEAR(message_passing, exhaustive, 1e-9);
 
   BddManager mgr(kEvents);
@@ -108,8 +111,8 @@ TEST(JunctionTreeTest, StatsPopulated) {
   GateId root;
   BoolCircuit c = RandomCircuit(rng, 6, 20, &root);
   EventRegistry registry = RandomRegistry(rng, 6);
-  EngineStats stats;
-  JunctionTreeProbability(c, root, registry, &stats);
+  const EngineStats stats =
+      JunctionTreeEngine().Estimate(c, root, registry).stats;
   EXPECT_GE(stats.width, 0);
   EXPECT_GT(stats.num_bags, 0u);
   EXPECT_GT(stats.num_gates, 0u);
@@ -123,13 +126,13 @@ TEST(JunctionTreeTest, EvidencePinsEvents) {
   GateId g = c.AddAnd(c.AddVar(0), c.AddVar(1));
   // P(a & b | a=true) = P(b) = 0.6.
   EXPECT_NEAR(
-      JunctionTreeProbabilityWithEvidence(c, g, registry, {{0, true}}), 0.6,
+      JunctionTreeEngine().Estimate(c, g, registry, {{0, true}}).value, 0.6,
       1e-12);
   EXPECT_NEAR(
-      JunctionTreeProbabilityWithEvidence(c, g, registry, {{0, false}}), 0.0,
+      JunctionTreeEngine().Estimate(c, g, registry, {{0, false}}).value, 0.0,
       1e-12);
-  EXPECT_NEAR(JunctionTreeProbabilityWithEvidence(c, g, registry,
-                                                  {{0, true}, {1, true}}),
+  EXPECT_NEAR(JunctionTreeEngine().Estimate(c, g, registry,
+                                            {{0, true}, {1, true}}).value,
               1.0, 1e-12);
 }
 
@@ -139,8 +142,8 @@ TEST(SamplingTest, ConvergesOnSimpleCircuit) {
   registry.Register("b", 0.5);
   BoolCircuit c;
   GateId g = c.AddOr(c.AddVar(0), c.AddVar(1));
-  Rng rng(7);
-  double estimate = SampleProbability(c, g, registry, 40000, rng);
+  SamplingEngine engine(/*num_samples=*/40000, /*seed=*/7);
+  double estimate = engine.Estimate(c, g, registry).value;
   EXPECT_NEAR(estimate, 0.7, 0.02);
 }
 
@@ -151,9 +154,9 @@ TEST_P(SamplingConvergenceTest, WithinConfidenceBand) {
   GateId root;
   BoolCircuit c = RandomCircuit(rng, 6, 25, &root);
   EventRegistry registry = RandomRegistry(rng, 6);
-  double exact = ExhaustiveProbability(c, root, registry);
-  Rng sample_rng(GetParam());
-  double estimate = SampleProbability(c, root, registry, 20000, sample_rng);
+  double exact = ExhaustiveEngine().Estimate(c, root, registry).value;
+  SamplingEngine engine(/*num_samples=*/20000, /*seed=*/GetParam());
+  double estimate = engine.Estimate(c, root, registry).value;
   // 5 sigma band for Bernoulli(0.5) worst case.
   EXPECT_NEAR(estimate, exact, 5 * 0.5 / std::sqrt(20000.0));
 }
@@ -170,16 +173,22 @@ TEST(ConditioningTest, ConditionalProbabilityDefinition) {
   GateId b = c.AddVar(1);
   GateId q = c.AddAnd(a, b);
   // P(a & b | a) = 0.5; P(a & b | a or b) = 0.25 / 0.75.
-  auto p1 = ConditionalProbability(c, q, a, registry);
-  ASSERT_TRUE(p1.has_value());
-  EXPECT_NEAR(*p1, 0.5, 1e-12);
+  EngineResult p1 = ConditionalProbability(c, q, a, registry);
+  ASSERT_TRUE(p1.ok());
+  EXPECT_NEAR(p1.value, 0.5, 1e-12);
   GateId obs = c.AddOr(a, b);
-  auto p2 = ConditionalProbability(c, q, obs, registry);
-  ASSERT_TRUE(p2.has_value());
-  EXPECT_NEAR(*p2, 0.25 / 0.75, 1e-12);
-  // Conditioning on an impossible observation.
+  EngineResult p2 = ConditionalProbability(c, q, obs, registry);
+  ASSERT_TRUE(p2.ok());
+  EXPECT_NEAR(p2.value, 0.25 / 0.75, 1e-12);
+  // Conditioning on an impossible observation, or on an unknown gate.
   GateId never = c.AddAnd(a, c.AddNot(a));
-  EXPECT_FALSE(ConditionalProbability(c, q, never, registry).has_value());
+  EXPECT_EQ(ConditionalProbability(c, q, never, registry).status,
+            EngineStatus::kInvalidArgument);
+  const GateId unknown = static_cast<GateId>(c.NumGates() + 1);
+  EXPECT_EQ(ConditionalProbability(c, unknown, a, registry).status,
+            EngineStatus::kInvalidArgument);
+  EXPECT_EQ(ConditionalProbability(c, q, unknown, registry).status,
+            EngineStatus::kInvalidArgument);
 }
 
 TEST(ConditioningTest, MaterialisedEventConditioningMatchesRatio) {
@@ -201,8 +210,8 @@ TEST(ConditioningTest, MaterialisedEventConditioningMatchesRatio) {
   // Fact 1 now depends only on stoc: P = 1 - 0.8.
   BoolCircuit c;
   GateId g = c.AddFormula(conditioned.annotation(1));
-  EXPECT_NEAR(JunctionTreeProbability(c, g, conditioned.events()), 0.2,
-              1e-12);
+  EXPECT_NEAR(JunctionTreeEngine().Estimate(c, g, conditioned.events()).value,
+              0.2, 1e-12);
 }
 
 TEST(ConditioningTest, SubstituteEventHandlesAllShapes) {
@@ -239,12 +248,18 @@ TEST(ConditioningTest, QuestionSelectionPrefersInformativeEvent) {
   EventId c_ev = registry.Register("c", 0.5);
   BoolCircuit c;
   GateId q = c.AddVar(a);
-  auto choice = SelectBestQuestion(c, q, registry, {a, c_ev});
-  ASSERT_TRUE(choice.has_value());
-  EXPECT_EQ(choice->event, a);
-  EXPECT_NEAR(choice->expected_entropy, 0.0, 1e-12);
-  EXPECT_NEAR(choice->current_entropy, 1.0, 1e-12);
-  EXPECT_FALSE(SelectBestQuestion(c, q, registry, {}).has_value());
+  QuestionChoice choice{};
+  ASSERT_EQ(SelectBestQuestion(c, q, registry, {a, c_ev}, &choice),
+            EngineStatus::kOk);
+  EXPECT_EQ(choice.event, a);
+  EXPECT_NEAR(choice.expected_entropy, 0.0, 1e-12);
+  EXPECT_NEAR(choice.current_entropy, 1.0, 1e-12);
+  EXPECT_EQ(SelectBestQuestion(c, q, registry, {}, &choice),
+            EngineStatus::kInvalidArgument);
+  EXPECT_EQ(SelectBestQuestion(c, q, registry,
+                               {a, static_cast<EventId>(registry.size())},
+                               &choice),
+            EngineStatus::kInvalidArgument);
 }
 
 TEST(HybridTest, RestrictCircuitSubstitutesConstants) {
@@ -267,11 +282,9 @@ TEST(HybridTest, ExactWhenCoreEmpty) {
   GateId root;
   BoolCircuit c = RandomCircuit(rng, 6, 20, &root);
   EventRegistry registry = RandomRegistry(rng, 6);
-  Rng sample_rng(1);
-  EngineResult result =
-      HybridProbability(c, root, registry, {}, 1, sample_rng);
-  EXPECT_NEAR(result.value, ExhaustiveProbability(c, root, registry),
-              1e-9);
+  EngineResult result = HybridEngine().EstimateWithCore(c, root, registry, {});
+  EXPECT_NEAR(result.value,
+              ExhaustiveEngine().Estimate(c, root, registry).value, 1e-9);
 }
 
 class HybridConvergenceTest : public ::testing::TestWithParam<int> {};
@@ -281,10 +294,10 @@ TEST_P(HybridConvergenceTest, ConvergesWithSampledCore) {
   GateId root;
   BoolCircuit c = RandomCircuit(rng, 8, 30, &root);
   EventRegistry registry = RandomRegistry(rng, 8);
-  double exact = ExhaustiveProbability(c, root, registry);
-  Rng sample_rng(GetParam());
-  EngineResult result =
-      HybridProbability(c, root, registry, {0, 1}, 4000, sample_rng);
+  double exact = ExhaustiveEngine().Estimate(c, root, registry).value;
+  HybridEngine engine(/*target_width=*/8, /*max_core=*/16,
+                      /*num_samples=*/4000, /*seed=*/GetParam());
+  EngineResult result = engine.EstimateWithCore(c, root, registry, {0, 1});
   EXPECT_NEAR(result.value, exact, 0.05);
 }
 
@@ -364,14 +377,14 @@ TEST(CrowdTest, NoisyConditioningChangesQueryProbability) {
   EventId e2 = registry.Register("e2", 0.6);
   BoolCircuit c;
   GateId q = c.AddAnd(c.AddVar(e1), c.AddVar(e2));
-  double before = JunctionTreeProbability(c, q, registry);
+  double before = JunctionTreeEngine().Estimate(c, q, registry).value;
   EXPECT_NEAR(before, 0.3, 1e-12);
   Valuation truth(2);
   truth.set_value(e1, true);
   truth.set_value(e2, true);
   NoisyOracle oracle(truth, 0.9, 3);
   AskAndUpdate(registry, e1, oracle, 20);
-  double after = JunctionTreeProbability(c, q, registry);
+  double after = JunctionTreeEngine().Estimate(c, q, registry).value;
   EXPECT_GT(after, 0.55);
   EXPECT_LT(after, 0.6 + 1e-9);
 }

@@ -8,10 +8,9 @@
 
 #include "gtest/gtest.h"
 #include "inference/conditioning.h"
-#include "inference/exhaustive.h"
+#include "inference/engine.h"
 #include "inference/junction_tree.h"
 #include "inference/possibility.h"
-#include "inference/sampling.h"
 #include "queries/answers.h"
 #include "queries/lineage.h"
 #include "queries/query_parser.h"
@@ -59,20 +58,23 @@ TEST(IntegrationTest, ExtractChaseQueryCondition) {
   auto query = ParseConjunctiveQuery("ResidesIn(ann, Where)", schema, dict);
   ASSERT_TRUE(query.has_value());
   GateId lineage = ComputeCqLineage(*query, pcc);
-  double p = JunctionTreeProbability(pcc.circuit(), lineage, pcc.events());
+  double p = JunctionTreeEngine().Estimate(pcc.circuit(), lineage,
+                                           pcc.events()).value;
   EXPECT_NEAR(p, 0.7 * 0.7 * 0.8, 1e-12);
 
   // Condition on a curator confirming extraction 1.
-  double p_given = JunctionTreeProbabilityWithEvidence(
-      pcc.circuit(), lineage, pcc.events(), {{x1, true}});
+  double p_given = JunctionTreeEngine()
+                       .Estimate(pcc.circuit(), lineage, pcc.events(),
+                                 {{x1, true}})
+                       .value;
   EXPECT_NEAR(p_given, 0.7 * 0.8, 1e-12);
 
   // And the ratio definition agrees.
   GateId obs = pcc.circuit().AddVar(x1);
-  auto ratio =
+  EngineResult ratio =
       ConditionalProbability(pcc.circuit(), lineage, obs, pcc.events());
-  ASSERT_TRUE(ratio.has_value());
-  EXPECT_NEAR(*ratio, p_given, 1e-12);
+  ASSERT_TRUE(ratio.ok());
+  EXPECT_NEAR(ratio.value, p_given, 1e-12);
 }
 
 // Pipeline 2: lineage of answers feeds provenance, possibility and
@@ -99,14 +101,14 @@ TEST(IntegrationTest, AnswersProvenanceAndSampling) {
 
   for (const AnswerLineage& answer : answers) {
     // Probability by three routes.
-    double mp = JunctionTreeProbability(pcc.circuit(), answer.lineage,
-                                        pcc.events());
-    double ex =
-        ExhaustiveProbability(pcc.circuit(), answer.lineage, pcc.events());
+    double mp = JunctionTreeEngine().Estimate(pcc.circuit(), answer.lineage,
+                                              pcc.events()).value;
+    double ex = ExhaustiveEngine().Estimate(pcc.circuit(), answer.lineage,
+                                            pcc.events()).value;
     EXPECT_NEAR(mp, ex, 1e-12);
-    Rng rng(3);
-    double sampled = SampleProbability(pcc.circuit(), answer.lineage,
-                                       pcc.events(), 20000, rng);
+    SamplingEngine sampler(/*num_samples=*/20000, /*seed=*/3);
+    double sampled =
+        sampler.Estimate(pcc.circuit(), answer.lineage, pcc.events()).value;
     EXPECT_NEAR(sampled, ex, 0.02);
     EXPECT_TRUE(IsSatisfiable(pcc.circuit(), answer.lineage));
     EXPECT_FALSE(IsValid(pcc.circuit(), answer.lineage));
@@ -120,7 +122,7 @@ TEST(IntegrationTest, AnswersProvenanceAndSampling) {
   WhySemiring::Value expected = {{ea, eb}, {ec}};
   EXPECT_EQ(why, expected);
   double p_reach =
-      JunctionTreeProbability(pcc.circuit(), reach, pcc.events());
+      JunctionTreeEngine().Estimate(pcc.circuit(), reach, pcc.events()).value;
   EXPECT_NEAR(p_reach, 1 - (1 - 0.6 * 0.5) * (1 - 0.4), 1e-12);
 }
 
@@ -165,9 +167,11 @@ TEST_P(GrandCrossCheckTest, AllEnginesAgreeOnRandomInstances) {
   double oracle = ProbabilityByEnumeration(
       pcc.events(),
       [&](const Valuation& v) { return q.EvaluateBool(pcc.World(v)); });
-  EXPECT_NEAR(JunctionTreeProbability(pcc.circuit(), lineage, pcc.events()),
+  EXPECT_NEAR(JunctionTreeEngine().Estimate(pcc.circuit(), lineage,
+                                            pcc.events()).value,
               oracle, 1e-9);
-  EXPECT_NEAR(ExhaustiveProbability(pcc.circuit(), lineage, pcc.events()),
+  EXPECT_NEAR(ExhaustiveEngine().Estimate(pcc.circuit(), lineage,
+                                          pcc.events()).value,
               oracle, 1e-9);
   EXPECT_EQ(IsSatisfiable(pcc.circuit(), lineage), oracle > 1e-15);
 
@@ -177,7 +181,8 @@ TEST_P(GrandCrossCheckTest, AllEnginesAgreeOnRandomInstances) {
       pcc.events(), [&](const Valuation& v) {
         return EvaluateReachability(pcc.World(v), s, 0, domain - 1);
       });
-  EXPECT_NEAR(JunctionTreeProbability(pcc.circuit(), reach, pcc.events()),
+  EXPECT_NEAR(JunctionTreeEngine().Estimate(pcc.circuit(), reach,
+                                            pcc.events()).value,
               reach_oracle, 1e-9);
 }
 

@@ -16,7 +16,6 @@
 #include "automata/automaton_library.h"
 #include "gtest/gtest.h"
 #include "inference/engine.h"
-#include "inference/exhaustive.h"
 #include "inference/junction_tree.h"
 #include "queries/query_session.h"
 #include "uncertain/c_instance.h"

@@ -1,7 +1,7 @@
 #include <cmath>
 
 #include "gtest/gtest.h"
-#include "inference/exhaustive.h"
+#include "inference/engine.h"
 #include "inference/junction_tree.h"
 #include "prxml/pattern_eval.h"
 #include "prxml/prxml_document.h"
@@ -108,7 +108,8 @@ class Figure1Test : public ::testing::Test {
 
   double PatternProbability(const TreePattern& pattern) {
     GateId lineage = PatternLineage(pattern, doc_);
-    return JunctionTreeProbability(doc_.circuit(), lineage, doc_.events());
+    return JunctionTreeEngine().Estimate(doc_.circuit(), lineage,
+                                         doc_.events()).value;
   }
 
   PrXmlDocument doc_;
@@ -162,7 +163,7 @@ TEST_F(Figure1Test, WorldEnumerationMatchesLineage) {
         return pattern.Matches(doc_.World(v));
       });
   double by_circuit =
-      ExhaustiveProbability(doc_.circuit(), lineage, doc_.events());
+      ExhaustiveEngine().Estimate(doc_.circuit(), lineage, doc_.events()).value;
   EXPECT_NEAR(by_circuit, by_enumeration, 1e-12);
 }
 
@@ -221,7 +222,8 @@ TEST_F(LocalDocTest, FastPathMatchesLineagePipeline) {
     double fast = LocalPatternProbability(p, doc_);
     GateId lineage = PatternLineage(p, doc_);
     double exact =
-        ExhaustiveProbability(doc_.circuit(), lineage, doc_.events());
+        ExhaustiveEngine().Estimate(doc_.circuit(), lineage,
+                                    doc_.events()).value;
     EXPECT_NEAR(fast, exact, 1e-12) << p.ToString();
   }
 }
@@ -303,9 +305,10 @@ TEST_P(RandomLocalDocTest, AllThreeEnginesAgree) {
         });
     GateId lineage = PatternLineage(pattern, doc);
     double by_lineage =
-        ExhaustiveProbability(doc.circuit(), lineage, doc.events());
+        ExhaustiveEngine().Estimate(doc.circuit(), lineage, doc.events()).value;
     double by_mp =
-        JunctionTreeProbability(doc.circuit(), lineage, doc.events());
+        JunctionTreeEngine().Estimate(doc.circuit(), lineage,
+                                      doc.events()).value;
     double by_fast = LocalPatternProbability(pattern, doc);
     EXPECT_NEAR(by_lineage, by_worlds, 1e-9);
     EXPECT_NEAR(by_mp, by_worlds, 1e-9);
@@ -343,7 +346,8 @@ TEST_P(RandomCieDocTest, LineageMatchesEnumeration) {
       doc.events(), [&](const Valuation& v) {
         return pattern.Matches(doc.World(v));
       });
-  EXPECT_NEAR(ExhaustiveProbability(doc.circuit(), lineage, doc.events()),
+  EXPECT_NEAR(ExhaustiveEngine().Estimate(doc.circuit(), lineage,
+                                          doc.events()).value,
               by_worlds, 1e-9);
 }
 

@@ -1,7 +1,7 @@
 #include <vector>
 
 #include "gtest/gtest.h"
-#include "inference/exhaustive.h"
+#include "inference/engine.h"
 #include "inference/junction_tree.h"
 #include "queries/conjunctive_query.h"
 #include "queries/lineage.h"
@@ -182,8 +182,10 @@ TEST(Theorem1Test, RstProbabilityMatchesEnumeration) {
   ConjunctiveQuery q = ConjunctiveQuery::RstPath(0, 1, 2);
   GateId lineage = ComputeCqLineage(q, pcc);
 
-  double exact = ExhaustiveProbability(pcc.circuit(), lineage, pcc.events());
-  double mp = JunctionTreeProbability(pcc.circuit(), lineage, pcc.events());
+  double exact = ExhaustiveEngine().Estimate(pcc.circuit(), lineage,
+                                             pcc.events()).value;
+  double mp = JunctionTreeEngine().Estimate(pcc.circuit(), lineage,
+                                            pcc.events()).value;
   EXPECT_NEAR(mp, exact, 1e-9);
 }
 
@@ -202,7 +204,8 @@ TEST(Theorem2Test, CorrelatedAnnotationsHandled) {
   ConjunctiveQuery q = ConjunctiveQuery::RstPath(0, 1, 2);
   GateId lineage = ComputeCqLineage(q, pcc);
   // Query holds iff shared & solo: P = 0.25.
-  double p = JunctionTreeProbability(pcc.circuit(), lineage, pcc.events());
+  double p = JunctionTreeEngine().Estimate(pcc.circuit(), lineage,
+                                           pcc.events()).value;
   EXPECT_NEAR(p, 0.25, 1e-12);
   for (uint64_t mask = 0; mask < 4; ++mask) {
     Valuation v = Valuation::FromMask(mask, 2);

@@ -12,7 +12,7 @@
 #include "automata/provenance_run.h"
 #include "events/valuation.h"
 #include "gtest/gtest.h"
-#include "inference/exhaustive.h"
+#include "inference/engine.h"
 #include "inference/junction_tree.h"
 #include "queries/lineage.h"
 #include "queries/query_session.h"
@@ -55,7 +55,8 @@ TEST(QuerySessionTest, CqQueryMatchesFreshDerivation) {
   PccInstance fresh = PccInstance::FromCInstance(pc);
   GateId fresh_lineage = ComputeCqLineage(q, fresh);
   double expected =
-      JunctionTreeProbability(fresh.circuit(), fresh_lineage, fresh.events());
+      JunctionTreeEngine().Estimate(fresh.circuit(), fresh_lineage,
+                                    fresh.events()).value;
 
   QuerySession session = QuerySession::FromCInstance(pc);
   EngineResult result = session.Query(q);
@@ -80,8 +81,10 @@ TEST(QuerySessionTest, ManyQueriesShareOneDecomposition) {
     // Fresh path for this query alone.
     PccInstance fresh = PccInstance::FromCInstance(pc);
     GateId fresh_lineage = ComputeReachabilityLineage(fresh, e, 0, target);
-    double expected = JunctionTreeProbability(fresh.circuit(), fresh_lineage,
-                                              fresh.events());
+    double expected = JunctionTreeEngine()
+                          .Estimate(fresh.circuit(), fresh_lineage,
+                                    fresh.events())
+                          .value;
 
     LineageStats stats;
     GateId lineage = session.ReachabilityLineage(e, 0, target, &stats);
@@ -126,8 +129,10 @@ TEST(QuerySessionTest, EvidenceConditionsTheQuery) {
   QuerySession session = QuerySession::FromCInstance(pc);
   GateId lineage = session.CqLineage(q);
   const Evidence evidence = {{0, true}};
-  double expected = JunctionTreeProbabilityWithEvidence(
-      session.pcc().circuit(), lineage, session.pcc().events(), evidence);
+  double expected = JunctionTreeEngine()
+                        .Estimate(session.pcc().circuit(), lineage,
+                                  session.pcc().events(), evidence)
+                        .value;
   EXPECT_NEAR(session.Probability(lineage, evidence).value, expected, 1e-9);
 }
 

@@ -2,7 +2,7 @@
 #include <vector>
 
 #include "gtest/gtest.h"
-#include "inference/exhaustive.h"
+#include "inference/engine.h"
 #include "inference/junction_tree.h"
 #include "queries/reachability.h"
 #include "uncertain/c_instance.h"
@@ -37,7 +37,8 @@ TEST(ReachabilityLineageTest, SingleEdge) {
   tid.AddFact(0, {0, 1}, 0.4);
   PccInstance pcc = PccInstance::FromCInstance(tid.ToPcInstance());
   GateId lineage = ComputeReachabilityLineage(pcc, 0, 0, 1);
-  EXPECT_NEAR(JunctionTreeProbability(pcc.circuit(), lineage, pcc.events()),
+  EXPECT_NEAR(JunctionTreeEngine().Estimate(pcc.circuit(), lineage,
+                                            pcc.events()).value,
               0.4, 1e-12);
 }
 
@@ -51,7 +52,8 @@ TEST(ReachabilityLineageTest, TwoParallelPaths) {
   PccInstance pcc = PccInstance::FromCInstance(tid.ToPcInstance());
   GateId lineage = ComputeReachabilityLineage(pcc, 0, 0, 3);
   double expected = 1.0 - (1 - 0.25) * (1 - 0.25);
-  EXPECT_NEAR(JunctionTreeProbability(pcc.circuit(), lineage, pcc.events()),
+  EXPECT_NEAR(JunctionTreeEngine().Estimate(pcc.circuit(), lineage,
+                                            pcc.events()).value,
               expected, 1e-12);
 }
 
@@ -72,7 +74,8 @@ TEST(ReachabilityLineageTest, SelfLoopsAndDuplicateEdgesHandled) {
   tid.AddFact(0, {0, 1}, 0.5);  // Duplicate edge: independent copy.
   PccInstance pcc = PccInstance::FromCInstance(tid.ToPcInstance());
   GateId lineage = ComputeReachabilityLineage(pcc, 0, 0, 1);
-  EXPECT_NEAR(JunctionTreeProbability(pcc.circuit(), lineage, pcc.events()),
+  EXPECT_NEAR(JunctionTreeEngine().Estimate(pcc.circuit(), lineage,
+                                            pcc.events()).value,
               0.75, 1e-12);
 }
 
@@ -122,8 +125,10 @@ TEST_P(ReachabilityPropertyTest, ProbabilityMatchesEnumeration) {
   }
   PccInstance pcc = PccInstance::FromCInstance(tid.ToPcInstance());
   GateId lineage = ComputeReachabilityLineage(pcc, 0, 0, n - 1);
-  double mp = JunctionTreeProbability(pcc.circuit(), lineage, pcc.events());
-  double exact = ExhaustiveProbability(pcc.circuit(), lineage, pcc.events());
+  double mp = JunctionTreeEngine().Estimate(pcc.circuit(), lineage,
+                                            pcc.events()).value;
+  double exact = ExhaustiveEngine().Estimate(pcc.circuit(), lineage,
+                                             pcc.events()).value;
   EXPECT_NEAR(mp, exact, 1e-9);
   // Cross-check against direct world enumeration of the query.
   double direct = 0;
@@ -150,7 +155,8 @@ TEST(ReachabilityLineageTest, CorrelatedEdges) {
   pcc.AddFact(0, {1, 2}, g);
   GateId lineage = ComputeReachabilityLineage(pcc, 0, 0, 2);
   // Perfectly correlated: P = 0.5, not 0.25.
-  EXPECT_NEAR(JunctionTreeProbability(pcc.circuit(), lineage, pcc.events()),
+  EXPECT_NEAR(JunctionTreeEngine().Estimate(pcc.circuit(), lineage,
+                                            pcc.events()).value,
               0.5, 1e-12);
 }
 
@@ -170,7 +176,8 @@ TEST(MultiTargetReachabilityTest, TrivialAndDuplicateTargets) {
   EXPECT_TRUE(pcc.circuit().const_value(gates[0]));    // t == source.
   EXPECT_FALSE(pcc.circuit().const_value(gates[1]));   // Out of domain.
   EXPECT_EQ(gates[2], gates[3]);                       // Duplicates share.
-  EXPECT_NEAR(JunctionTreeProbability(pcc.circuit(), gates[2], pcc.events()),
+  EXPECT_NEAR(JunctionTreeEngine().Estimate(pcc.circuit(), gates[2],
+                                            pcc.events()).value,
               0.4, 1e-12);
 }
 
@@ -244,8 +251,10 @@ TEST_P(ReachabilityPropertyTest, MultiTargetMatchesOneTargetRunsProbability) {
   for (size_t i = 0; i < targets.size(); ++i) {
     GateId single = ComputeReachabilityLineage(pcc, 0, 0, targets[i]);
     EXPECT_NEAR(
-        JunctionTreeProbability(pcc.circuit(), battery[i], pcc.events()),
-        JunctionTreeProbability(pcc.circuit(), single, pcc.events()), 1e-9)
+        JunctionTreeEngine().Estimate(pcc.circuit(), battery[i],
+                                      pcc.events()).value,
+        JunctionTreeEngine().Estimate(pcc.circuit(), single,
+                                      pcc.events()).value, 1e-9)
         << "t=" << targets[i];
   }
 }
@@ -258,9 +267,11 @@ TEST(MultiTargetReachabilityTest, CorrelatedEdges) {
   pcc.AddFact(0, {1, 2}, g);
   std::vector<GateId> gates =
       ComputeMultiTargetReachabilityLineage(pcc, 0, 0, {1, 2});
-  EXPECT_NEAR(JunctionTreeProbability(pcc.circuit(), gates[0], pcc.events()),
+  EXPECT_NEAR(JunctionTreeEngine().Estimate(pcc.circuit(), gates[0],
+                                            pcc.events()).value,
               0.5, 1e-12);
-  EXPECT_NEAR(JunctionTreeProbability(pcc.circuit(), gates[1], pcc.events()),
+  EXPECT_NEAR(JunctionTreeEngine().Estimate(pcc.circuit(), gates[1],
+                                            pcc.events()).value,
               0.5, 1e-12);
 }
 
@@ -282,7 +293,8 @@ TEST(MultiTargetReachabilityTest, LongPathFullBatteryLinearStates) {
       ComputeMultiTargetReachabilityLineage(pcc, 0, 0, targets, &stats);
   EXPECT_LE(stats.max_states_per_node, 256u);
   for (size_t i = 0; i < targets.size(); ++i) {
-    double p = JunctionTreeProbability(pcc.circuit(), gates[i], pcc.events());
+    double p = JunctionTreeEngine().Estimate(pcc.circuit(), gates[i],
+                                             pcc.events()).value;
     EXPECT_NEAR(p, std::pow(0.95, targets[i]), 1e-9) << "t=" << targets[i];
   }
 }
@@ -299,7 +311,8 @@ TEST(ReachabilityLineageTest, LongPathLinearStates) {
   LineageStats stats;
   GateId lineage = ComputeReachabilityLineage(pcc, 0, 0, n - 1, &stats);
   EXPECT_LE(stats.max_states_per_node, 64u);
-  double p = JunctionTreeProbability(pcc.circuit(), lineage, pcc.events());
+  double p = JunctionTreeEngine().Estimate(pcc.circuit(), lineage,
+                                           pcc.events()).value;
   EXPECT_NEAR(p, std::pow(0.9, n - 1), 1e-9);
 }
 

@@ -24,7 +24,7 @@ double FactProbability(const CInstance& ci, const Fact& fact) {
     if (ci.instance().fact(f) == fact) {
       BoolCircuit c;
       GateId g = c.AddFormula(ci.annotation(f));
-      return JunctionTreeProbability(c, g, ci.events());
+      return JunctionTreeEngine().Estimate(c, g, ci.events()).value;
     }
   }
   return 0.0;

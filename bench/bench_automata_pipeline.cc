@@ -33,9 +33,10 @@ void BM_AutomatonPipeline(benchmark::State& state) {
         MakeExistsLabel(tree.AlphabetSize(), labels.Find("musician"));
     GateId lineage = ProvenanceRun(automaton, tree);
     gates = tree.circuit().NumGates();
-    p = JunctionTreeEngine().Estimate(tree.circuit(), lineage,
-                                      doc.events()).value;
-    benchmark::DoNotOptimize(p);
+    EngineResult estimate =
+        JunctionTreeEngine().Estimate(tree.circuit(), lineage, doc.events());
+    benchmark::DoNotOptimize(estimate);
+    p = estimate.value;
   }
   state.counters["entities"] = entities;
   state.counters["gates"] = static_cast<double>(gates);
@@ -53,9 +54,10 @@ void BM_PatternLineageReference(benchmark::State& state) {
   double p = 0;
   for (auto _ : state) {
     GateId lineage = PatternLineage(pattern, doc);
-    p = JunctionTreeEngine().Estimate(doc.circuit(), lineage,
-                                      doc.events()).value;
-    benchmark::DoNotOptimize(p);
+    EngineResult estimate =
+        JunctionTreeEngine().Estimate(doc.circuit(), lineage, doc.events());
+    benchmark::DoNotOptimize(estimate);
+    p = estimate.value;
   }
   state.counters["entities"] = entities;
   state.counters["P"] = p;
@@ -83,9 +85,10 @@ void BM_AutomatonBooleanCombination(benchmark::State& state) {
     TreeAutomaton combo = TreeAutomaton::Product(
         has_musician, has_statement.Complement(), /*conjunction=*/true);
     GateId lineage = ProvenanceRun(combo, tree);
-    p = JunctionTreeEngine().Estimate(tree.circuit(), lineage,
-                                      doc.events()).value;
-    benchmark::DoNotOptimize(p);
+    EngineResult estimate =
+        JunctionTreeEngine().Estimate(tree.circuit(), lineage, doc.events());
+    benchmark::DoNotOptimize(estimate);
+    p = estimate.value;
   }
   state.counters["entities"] = entities;
   state.counters["P_musician_and_no_statement"] = p;
@@ -111,9 +114,10 @@ void BM_AutomatonBooleanCombinationExpr(benchmark::State& state) {
         !AutomatonExpr::Atom(MakeExistsLabel(tree.AlphabetSize(),
                                              labels.Find("statement")));
     GateId lineage = ProvenanceRun(combo.Compile(), tree);
-    p = JunctionTreeEngine().Estimate(tree.circuit(), lineage,
-                                      doc.events()).value;
-    benchmark::DoNotOptimize(p);
+    EngineResult estimate =
+        JunctionTreeEngine().Estimate(tree.circuit(), lineage, doc.events());
+    benchmark::DoNotOptimize(estimate);
+    p = estimate.value;
   }
   state.counters["entities"] = entities;
   state.counters["P_musician_and_no_statement"] = p;

@@ -50,17 +50,18 @@ void BM_Figure1Marginals(benchmark::State& state) {
     auto prob = [&doc](const TreePattern& pattern) {
       GateId lineage = PatternLineage(pattern, doc);
       return JunctionTreeEngine().Estimate(doc.circuit(), lineage,
-                                           doc.events()).value;
+                                           doc.events());
     };
-    p_musician = prob(TreePattern::LabelExists("musician"));
-    p_chelsea = prob(TreePattern::LabelExists("Chelsea"));
-    p_manning = prob(TreePattern::LabelExists("Manning"));
+    p_musician = prob(TreePattern::LabelExists("musician")).value;
+    p_chelsea = prob(TreePattern::LabelExists("Chelsea")).value;
+    p_manning = prob(TreePattern::LabelExists("Manning")).value;
     TreePattern both;
     PatternNodeId r = both.AddRoot("Q298423");
     both.AddChild(r, "surname", PatternAxis::kChild);
     both.AddChild(r, "place of birth", PatternAxis::kChild);
-    p_both = prob(both);
-    benchmark::DoNotOptimize(p_both);
+    EngineResult estimate = prob(both);
+    benchmark::DoNotOptimize(estimate);
+    p_both = estimate.value;
   }
   state.counters["P_musician"] = p_musician;
   state.counters["P_Chelsea"] = p_chelsea;
@@ -79,9 +80,10 @@ void BM_Figure1Forest(benchmark::State& state) {
   double p = 0;
   for (auto _ : state) {
     GateId lineage = PatternLineage(pattern, doc);
-    p = JunctionTreeEngine().Estimate(doc.circuit(), lineage,
-                                      doc.events()).value;
-    benchmark::DoNotOptimize(p);
+    EngineResult estimate =
+        JunctionTreeEngine().Estimate(doc.circuit(), lineage, doc.events());
+    benchmark::DoNotOptimize(estimate);
+    p = estimate.value;
   }
   state.counters["entities"] = n;
   state.counters["P"] = p;

@@ -46,9 +46,10 @@ void BM_LocalGenericPipeline(benchmark::State& state) {
   double p = 0;
   for (auto _ : state) {
     GateId lineage = PatternLineage(pattern, doc);
-    p = JunctionTreeEngine().Estimate(doc.circuit(), lineage,
-                                      doc.events()).value;
-    benchmark::DoNotOptimize(p);
+    EngineResult estimate =
+        JunctionTreeEngine().Estimate(doc.circuit(), lineage, doc.events());
+    benchmark::DoNotOptimize(estimate);
+    p = estimate.value;
   }
   state.counters["entities"] = entities;
   state.counters["P"] = p;

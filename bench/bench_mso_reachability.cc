@@ -49,8 +49,9 @@ void BM_ReachabilityLadder(benchmark::State& state) {
   for (auto _ : state) {
     GateId lineage =
         session.ReachabilityLineage(0, 0, 2 * length - 2, &stats);
-    p = session.Probability(lineage).value;
-    benchmark::DoNotOptimize(p);
+    EngineResult estimate = session.Probability(lineage);
+    benchmark::DoNotOptimize(estimate);
+    p = estimate.value;
   }
   state.counters["rungs"] = length;
   state.counters["instance_width"] = stats.decomposition_width;
@@ -77,9 +78,10 @@ void BM_ReachabilityLadderFresh(benchmark::State& state) {
     PccInstance pcc = PccInstance::FromCInstance(pc);
     GateId lineage =
         ComputeReachabilityLineage(pcc, 0, 0, 2 * length - 2, &stats);
-    p = JunctionTreeEngine().Estimate(pcc.circuit(), lineage,
-                                      pcc.events()).value;
-    benchmark::DoNotOptimize(p);
+    EngineResult estimate =
+        JunctionTreeEngine().Estimate(pcc.circuit(), lineage, pcc.events());
+    benchmark::DoNotOptimize(estimate);
+    p = estimate.value;
   }
   state.counters["rungs"] = length;
   state.counters["instance_width"] = stats.decomposition_width;
@@ -161,8 +163,9 @@ void BM_ReachabilityKTree(benchmark::State& state) {
   LineageStats stats;
   for (auto _ : state) {
     GateId lineage = session.ReachabilityLineage(0, 0, n - 1, &stats);
-    p = session.Probability(lineage).value;
-    benchmark::DoNotOptimize(p);
+    EngineResult estimate = session.Probability(lineage);
+    benchmark::DoNotOptimize(estimate);
+    p = estimate.value;
   }
   state.counters["n"] = n;
   state.counters["k"] = k;

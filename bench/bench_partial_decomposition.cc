@@ -38,7 +38,7 @@ void BM_HybridCoreTentacles(benchmark::State& state) {
                       /*seed=*/9);
   for (auto _ : state) {
     result = hybrid.EstimateWithCore(circuit, root, registry, core_events);
-    benchmark::DoNotOptimize(result.value);
+    benchmark::DoNotOptimize(result);
   }
   state.counters["core_events_chosen"] =
       static_cast<double>(core_events.size());
@@ -67,8 +67,9 @@ void BM_PureSamplingSameBudget(benchmark::State& state) {
   SamplingEngine sampler(samples, /*seed=*/9);
   double p = 0;
   for (auto _ : state) {
-    p = sampler.Estimate(circuit, root, registry).value;
-    benchmark::DoNotOptimize(p);
+    EngineResult estimate = sampler.Estimate(circuit, root, registry);
+    benchmark::DoNotOptimize(estimate);
+    p = estimate.value;
   }
   state.counters["estimate"] = p;
   if (exact >= 0) state.counters["abs_error"] = std::abs(p - exact);

@@ -52,11 +52,12 @@ void BM_ChaseDepthSweep(benchmark::State& state) {
       if (fact.args == std::vector<Value>{x0, xn}) {
         BoolCircuit c;
         GateId g = c.AddFormula(result.instance.annotation(f));
-        p_far = JunctionTreeEngine().Estimate(c, g,
-                                              result.instance.events()).value;
+        EngineResult estimate =
+            JunctionTreeEngine().Estimate(c, g, result.instance.events());
+        benchmark::DoNotOptimize(estimate);
+        p_far = estimate.value;
       }
     }
-    benchmark::DoNotOptimize(p_far);
   }
   state.counters["rounds"] = result.rounds_run;
   state.counters["firings"] = static_cast<double>(result.num_firings);

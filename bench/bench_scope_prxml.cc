@@ -28,9 +28,10 @@ void BM_ScopeSweep(benchmark::State& state) {
   double p = 0;
   for (auto _ : state) {
     GateId lineage = PatternLineage(pattern, doc);
-    p = JunctionTreeEngine().Estimate(doc.circuit(), lineage,
-                                      doc.events()).value;
-    benchmark::DoNotOptimize(p);
+    EngineResult estimate =
+        JunctionTreeEngine().Estimate(doc.circuit(), lineage, doc.events());
+    benchmark::DoNotOptimize(estimate);
+    p = estimate.value;
   }
   state.counters["entities"] = entities;
   state.counters["scope_param"] = scope;
@@ -49,12 +50,11 @@ void BM_ScopeFixedGrowDocument(benchmark::State& state) {
   Rng rng(23);
   PrXmlDocument doc = workloads::MakeWikidataPrxml(rng, entities, 2);
   TreePattern pattern = TreePattern::LabelExists("statement");
-  double p = 0;
   for (auto _ : state) {
     GateId lineage = PatternLineage(pattern, doc);
-    p = JunctionTreeEngine().Estimate(doc.circuit(), lineage,
-                                      doc.events()).value;
-    benchmark::DoNotOptimize(p);
+    EngineResult estimate =
+        JunctionTreeEngine().Estimate(doc.circuit(), lineage, doc.events());
+    benchmark::DoNotOptimize(estimate);
   }
   state.counters["entities"] = entities;
   state.SetComplexityN(entities);

@@ -56,10 +56,10 @@ void BM_Table1FullWorkflow(benchmark::State& state) {
     CInstance cond = ConditionOnEventLiteral(ci, 0, true);
     PccInstance pcc2 = PccInstance::FromCInstance(cond);
     GateId lineage2 = ComputeCqLineage(q, pcc2);
-    p_pdx_given_pods =
-        JunctionTreeEngine().Estimate(pcc2.circuit(), lineage2,
-                                      pcc2.events()).value;
-    benchmark::DoNotOptimize(p_pdx_given_pods);
+    EngineResult estimate =
+        JunctionTreeEngine().Estimate(pcc2.circuit(), lineage2, pcc2.events());
+    benchmark::DoNotOptimize(estimate);
+    p_pdx_given_pods = estimate.value;
   }
   state.counters["possible_facts"] = possible;
   state.counters["certain_facts"] = certain;
@@ -88,9 +88,10 @@ void BM_TripChain(benchmark::State& state) {
   for (auto _ : state) {
     PccInstance fresh = PccInstance::FromCInstance(ci);
     GateId lineage = ComputeCqLineage(q, fresh);
-    p = JunctionTreeEngine().Estimate(fresh.circuit(), lineage,
-                                      fresh.events()).value;
-    benchmark::DoNotOptimize(p);
+    EngineResult estimate =
+        JunctionTreeEngine().Estimate(fresh.circuit(), lineage, fresh.events());
+    benchmark::DoNotOptimize(estimate);
+    p = estimate.value;
   }
   state.counters["legs"] = n;
   state.counters["P_two_consecutive"] = p;

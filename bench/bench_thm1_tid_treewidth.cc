@@ -69,8 +69,10 @@ void BM_NaiveEnumerationBaseline(benchmark::State& state) {
   }
   double p = 0;
   for (auto _ : state) {
-    p = ExhaustiveEngine().Estimate(pcc.circuit(), lineage, pcc.events()).value;
-    benchmark::DoNotOptimize(p);
+    EngineResult estimate =
+        ExhaustiveEngine().Estimate(pcc.circuit(), lineage, pcc.events());
+    benchmark::DoNotOptimize(estimate);
+    p = estimate.value;
   }
   state.counters["facts"] = static_cast<double>(tid.NumFacts());
   state.counters["P"] = p;
@@ -86,11 +88,14 @@ void BM_Theorem1Agreement(benchmark::State& state) {
   GateId lineage = ComputeCqLineage(q, pcc);
   double mp = 0, exact = 0;
   for (auto _ : state) {
-    mp = JunctionTreeEngine().Estimate(pcc.circuit(), lineage,
-                                       pcc.events()).value;
-    exact = ExhaustiveEngine().Estimate(pcc.circuit(), lineage,
-                                        pcc.events()).value;
-    benchmark::DoNotOptimize(mp);
+    EngineResult passed =
+        JunctionTreeEngine().Estimate(pcc.circuit(), lineage, pcc.events());
+    EngineResult enumerated =
+        ExhaustiveEngine().Estimate(pcc.circuit(), lineage, pcc.events());
+    benchmark::DoNotOptimize(passed);
+    benchmark::DoNotOptimize(enumerated);
+    mp = passed.value;
+    exact = enumerated.value;
   }
   state.counters["message_passing"] = mp;
   state.counters["enumeration"] = exact;

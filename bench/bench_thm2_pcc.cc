@@ -41,7 +41,7 @@ void BM_Theorem2Window(benchmark::State& state) {
   Rng measure_rng(42);
   PccInstance pcc = workloads::MakeCorrelatedPcc(measure_rng, n, window);
   Graph joint = pcc.JointPrimalGraph();
-  uint32_t joint_width = EliminationWidth(joint, MinFillOrder(joint));
+  uint32_t joint_width = MinFillOrder(joint).width;
   state.counters["n"] = n;
   state.counters["window"] = window;
   state.counters["joint_width"] = joint_width;
@@ -62,9 +62,10 @@ void BM_Theorem2Scaling(benchmark::State& state) {
     PccInstance pcc = workloads::MakeCorrelatedPcc(rng, n, 3);
     state.ResumeTiming();
     GateId lineage = ComputeCqLineage(q, pcc);
-    p = JunctionTreeEngine().Estimate(pcc.circuit(), lineage,
-                                      pcc.events()).value;
-    benchmark::DoNotOptimize(p);
+    EngineResult estimate =
+        JunctionTreeEngine().Estimate(pcc.circuit(), lineage, pcc.events());
+    benchmark::DoNotOptimize(estimate);
+    p = estimate.value;
   }
   state.counters["n"] = n;
   state.counters["P"] = p;

@@ -158,13 +158,6 @@ bool ValidRequest(const BoolCircuit& circuit, GateId root,
 EngineResult ProbabilityEngine::Estimate(const BoolCircuit& circuit,
                                          GateId root,
                                          const EventRegistry& registry,
-                                         const Evidence& evidence) {
-  return Estimate(circuit, root, registry, evidence, QueryBudget{});
-}
-
-EngineResult ProbabilityEngine::Estimate(const BoolCircuit& circuit,
-                                         GateId root,
-                                         const EventRegistry& registry,
                                          const Evidence& evidence,
                                          const QueryBudget& budget) {
   if (!ValidRequest(circuit, root, registry, evidence)) {
@@ -177,12 +170,6 @@ EngineResult ProbabilityEngine::Estimate(const BoolCircuit& circuit,
     return MakeStatusResult(name(), EngineStatus::kDeadlineExceeded);
   }
   return EstimateImpl(circuit, root, registry, evidence, budget);
-}
-
-std::vector<EngineResult> ProbabilityEngine::EstimateBatch(
-    const BoolCircuit& circuit, const std::vector<GateId>& roots,
-    const EventRegistry& registry, const Evidence& evidence) {
-  return EstimateBatch(circuit, roots, registry, evidence, QueryBudget{});
 }
 
 std::vector<EngineResult> ProbabilityEngine::EstimateBatch(

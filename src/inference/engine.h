@@ -128,16 +128,13 @@ class ProbabilityEngine {
   /// instead of aborting) and check the budget before dispatching to
   /// the engine's EstimateImpl; engines then check the budget at
   /// bag/iteration granularity and report trips through
-  /// EngineResult::status. The budgetless overload runs the same path
-  /// under an unlimited budget: a query the engine cannot answer (a
-  /// plan too wide for exact message passing, say) is a status there
-  /// too, never an abort.
+  /// EngineResult::status. The default budget is unlimited: a query the
+  /// engine cannot answer (a plan too wide for exact message passing,
+  /// say) is a status there too, never an abort.
   EngineResult Estimate(const BoolCircuit& circuit, GateId root,
                         const EventRegistry& registry,
-                        const Evidence& evidence = {});
-  EngineResult Estimate(const BoolCircuit& circuit, GateId root,
-                        const EventRegistry& registry,
-                        const Evidence& evidence, const QueryBudget& budget);
+                        const Evidence& evidence = {},
+                        const QueryBudget& budget = {});
 
   /// Estimates every root of a batch under one shared evidence set and
   /// one shared budget. The deadline and cancel token cover the whole
@@ -148,12 +145,8 @@ class ProbabilityEngine {
   std::vector<EngineResult> EstimateBatch(const BoolCircuit& circuit,
                                           const std::vector<GateId>& roots,
                                           const EventRegistry& registry,
-                                          const Evidence& evidence = {});
-  std::vector<EngineResult> EstimateBatch(const BoolCircuit& circuit,
-                                          const std::vector<GateId>& roots,
-                                          const EventRegistry& registry,
-                                          const Evidence& evidence,
-                                          const QueryBudget& budget);
+                                          const Evidence& evidence = {},
+                                          const QueryBudget& budget = {});
 
   virtual const char* name() const = 0;
 

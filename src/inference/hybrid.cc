@@ -61,7 +61,7 @@ std::vector<EventId> SelectCoreEvents(const BoolCircuit& circuit, GateId root,
     if (bin.kind(bin_root) == GateKind::kConst) break;
     Graph graph(static_cast<uint32_t>(bin.NumGates()));
     for (const auto& [a, b] : bin.PrimalEdges()) graph.AddEdge(a, b);
-    uint32_t width = EliminationWidth(graph, MinFillOrder(graph));
+    uint32_t width = MinFillOrder(graph).width;
     if (static_cast<int>(width) <= target_width) break;
     // Pin the variable with the highest current degree.
     GateId best = kInvalidGate;

@@ -115,19 +115,14 @@ JunctionTreeAnalysis JunctionTreeAnalysis::AnalyzeBatch(
 }
 
 int JunctionTreeAnalysis::MinDegreeWidth() {
-  if (!has_min_degree_) {
-    md_order_ = CircuitMinDegreeOrder(graph_);
-    md_width_ = static_cast<int>(
-        EliminationWidthAndCost(graph_, md_order_, &md_cost_));
-    has_min_degree_ = true;
-  }
-  return md_width_;
+  if (!min_degree_) min_degree_ = MinDegreeOrder(graph_);
+  return static_cast<int>(min_degree_->width);
 }
 
 double JunctionTreeAnalysis::TableCost() {
   if (trivial()) return 0;
-  MinDegreeWidth();  // Computes and caches md_cost_ alongside the width.
-  return md_cost_;
+  MinDegreeWidth();  // Computes and caches the cost alongside the width.
+  return min_degree_->table_cost;
 }
 
 // ---------------------------------------------------------------------------
@@ -233,24 +228,19 @@ JunctionTreePlan JunctionTreePlan::BuildImpl(JunctionTreeAnalysis a,
   // min-degree order — on circuit primal graphs it matches min-fill's
   // width at a fraction of the cost — and only when that comes out wide
   // (where an extra unit of width doubles every message table) pay for
-  // min-fill and keep the narrower.
-  constexpr int kAcceptWidth = 10;
+  // min-fill and keep the narrower. Both report their widths from the
+  // elimination pass, so only the winner is turned into a decomposition.
+  constexpr uint32_t kAcceptWidth = 10;
   a.MinDegreeWidth();  // Ensures the cached min-degree order.
-  std::vector<VertexId> order = std::move(a.md_order_);
+  EliminationOrder elimination = std::move(*a.min_degree_);
+  if (elimination.width > kAcceptWidth) {
+    EliminationOrder fill = PeeledMinFillOrder(a.graph_);
+    if (fill.width < elimination.width) elimination = std::move(fill);
+  }
+  const std::vector<VertexId>& order = elimination.order;
   std::vector<BagId> bag_of_vertex;
   TreeDecomposition td =
       TreeDecomposition::FromEliminationOrder(a.graph_, order, &bag_of_vertex);
-  if (td.Width() > kAcceptWidth) {
-    std::vector<VertexId> fill_order = PeeledMinFillOrder(a.graph_);
-    std::vector<BagId> fill_bag_of;
-    TreeDecomposition fill_td = TreeDecomposition::FromEliminationOrder(
-        a.graph_, fill_order, &fill_bag_of);
-    if (fill_td.Width() < td.Width()) {
-      order = std::move(fill_order);
-      td = std::move(fill_td);
-      bag_of_vertex = std::move(fill_bag_of);
-    }
-  }
   std::vector<uint32_t> position(n);
   for (uint32_t i = 0; i < n; ++i) position[order[i]] = i;
   plan.width_ = td.Width();

@@ -7,6 +7,7 @@
 #include <memory>
 #include <mutex>
 #include <new>
+#include <optional>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -14,6 +15,7 @@
 #include "circuits/bool_circuit.h"
 #include "events/event_registry.h"
 #include "inference/engine.h"
+#include "treedec/elimination.h"
 #include "treedec/graph.h"
 #include "util/budget.h"
 #include "util/check.h"
@@ -102,12 +104,12 @@ class JunctionTreeAnalysis {
 
   /// Σ 2^|bag| over the decomposition the min-degree order derives: the
   /// table-entry count of one message pass, the batch planner's cost
-  /// unit (computed alongside MinDegreeWidth, so probing both costs one
-  /// sweep). An estimate: Build may fall back to min-fill when
-  /// min-degree comes out wide, in which case the executed plan's
-  /// profile differs — the cost model only needs
-  /// relative magnitudes, where the min-degree profile is a faithful
-  /// proxy. 0 for trivial analyses.
+  /// unit (reported by the same elimination pass as MinDegreeWidth, so
+  /// probing both costs one pass). An estimate: Build may fall back to
+  /// min-fill when min-degree comes out wide, in which case the executed
+  /// plan's profile differs — the cost model only needs relative
+  /// magnitudes, where the min-degree profile is a faithful proxy. 0 for
+  /// trivial analyses.
   double TableCost();
 
   /// True if every root folded to a constant (no message passing
@@ -127,10 +129,7 @@ class JunctionTreeAnalysis {
   std::vector<GateId> gates_;       ///< Dense vertex -> bin_ gate.
   std::vector<VertexId> vertex_of_;  ///< bin_ gate -> dense vertex.
   Graph graph_;                      ///< Primal graph of the factor scopes.
-  bool has_min_degree_ = false;
-  std::vector<VertexId> md_order_;
-  int md_width_ = 0;
-  double md_cost_ = 0;  ///< Σ 2^|bag| of the min-degree decomposition.
+  std::optional<EliminationOrder> min_degree_;  ///< Cached on first probe.
 };
 
 /// A compiled message-passing plan for one lineage gate — the paper's

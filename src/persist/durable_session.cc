@@ -243,6 +243,12 @@ EngineStatus DurableSession::RestoreFromState(const CheckpointState& state) {
 
   query_defs_.clear();
   for (const CheckpointState::QueryRow& q : state.queries) {
+    WalRecord registration;
+    registration.type = q.kind == 0 ? WalRecordType::kRegisterCq
+                                    : WalRecordType::kRegisterReachability;
+    registration.cq = q.cq;
+    registration.relation = q.relation;
+    if (!ValidRecord(registration)) return EngineStatus::kIoError;
     const incremental::QueryId qid =
         q.kind == 0
             ? incremental_->RegisterCq(q.cq)
@@ -262,33 +268,24 @@ EngineStatus DurableSession::RestoreFromState(const CheckpointState& state) {
 
 EngineStatus DurableSession::ReplayRecord(const WalRecord& record,
                                           RecoveryStats* stats) {
+  // A record the live session would have rejected was never logged by
+  // it: the log is damaged.
+  if (!ValidRecord(record)) return EngineStatus::kIoError;
   PccInstance& pcc = session_->pcc();
   switch (record.type) {
-    case WalRecordType::kRegisterEvent: {
-      if (!ValidProbability(record.probability)) return EngineStatus::kIoError;
-      auto id = pcc.events().TryRegister(record.name, record.probability);
-      if (!id.has_value() || *id != record.event) {
+    case WalRecordType::kRegisterEvent:
+      if (pcc.events().Register(record.name, record.probability) !=
+          record.event) {
         return EngineStatus::kIoError;
       }
       return EngineStatus::kOk;
-    }
     case WalRecordType::kSetProbability:
-      if (!session_->UpdateProbability(record.event, record.probability)) {
-        return EngineStatus::kIoError;
-      }
+      session_->UpdateProbability(record.event, record.probability);
       return EngineStatus::kOk;
     case WalRecordType::kUpdateProbability:
-      if (!incremental_->UpdateProbability(record.event, record.probability)) {
-        return EngineStatus::kIoError;
-      }
+      incremental_->UpdateProbability(record.event, record.probability);
       return EngineStatus::kOk;
     case WalRecordType::kInsertFact: {
-      const Schema& schema = pcc.instance().schema();
-      if (record.relation >= schema.NumRelations() ||
-          record.args.size() != schema.arity(record.relation) ||
-          !ValidProbability(record.probability)) {
-        return EngineStatus::kIoError;
-      }
       const incremental::InsertedFact got = incremental_->InsertFact(
           record.relation, record.args, record.probability);
       // Replay determinism check: the ids the replayed application
@@ -300,10 +297,6 @@ EngineStatus DurableSession::ReplayRecord(const WalRecord& record,
       return EngineStatus::kOk;
     }
     case WalRecordType::kDeleteFact:
-      if (record.fact >= pcc.NumFacts() ||
-          pcc.circuit().kind(pcc.annotation(record.fact)) != GateKind::kVar) {
-        return EngineStatus::kIoError;
-      }
       incremental_->DeleteFact(record.fact);
       return EngineStatus::kOk;
     case WalRecordType::kEpochPublish:
@@ -322,9 +315,6 @@ EngineStatus DurableSession::ReplayRecord(const WalRecord& record,
       return EngineStatus::kOk;
     }
     case WalRecordType::kRegisterReachability: {
-      if (record.relation >= pcc.instance().schema().NumRelations()) {
-        return EngineStatus::kIoError;
-      }
       const incremental::QueryId qid = incremental_->RegisterReachability(
           record.relation, record.source, record.target);
       if (incremental_->root(qid) != record.root) {
@@ -498,25 +488,65 @@ EngineStatus DurableSession::Recover(const std::string& dir,
 }
 
 // ---------------------------------------------------------------------------
+// Validation
+
+bool DurableSession::ValidRecord(const WalRecord& record) const {
+  const PccInstance& pcc = session_->pcc();
+  const Schema& schema = pcc.instance().schema();
+  switch (record.type) {
+    case WalRecordType::kRegisterEvent:
+      // Leading '_' is reserved for the anonymous events InsertFact
+      // mints ("_e<id>"); a user-held "_e5" would make a later anonymous
+      // registration abort on the duplicate name.
+      return ValidProbability(record.probability) && !record.name.empty() &&
+             record.name[0] != '_' &&
+             !pcc.events().Find(record.name).has_value();
+    case WalRecordType::kSetProbability:
+    case WalRecordType::kUpdateProbability:
+      return record.event < pcc.events().size() &&
+             ValidProbability(record.probability);
+    case WalRecordType::kInsertFact:
+      return record.relation < schema.NumRelations() &&
+             record.args.size() == schema.arity(record.relation) &&
+             ValidProbability(record.probability);
+    case WalRecordType::kDeleteFact:
+      // The live session TUD_CHECKs a plain event-variable annotation.
+      return record.fact < pcc.NumFacts() &&
+             pcc.circuit().kind(pcc.annotation(record.fact)) ==
+                 GateKind::kVar;
+    case WalRecordType::kRegisterCq:
+      // The fixed-query regime the lineage DP TUD_CHECKs.
+      return record.cq.NumVars() <= kMaxLineageCqVars &&
+             record.cq.NumAtoms() <= kMaxLineageCqAtoms &&
+             record.cq.AllVarsOccur();
+    case WalRecordType::kRegisterReachability:
+      return record.relation < schema.NumRelations();
+    case WalRecordType::kEpochPublish:
+      return true;
+  }
+  return false;
+}
+
+EngineStatus DurableSession::ValidateAndAppend(const WalRecord& record) {
+  if (!ValidRecord(record)) return EngineStatus::kInvalidArgument;
+  if (wal_->Append(record) != EngineStatus::kOk) return EngineStatus::kIoError;
+  return EngineStatus::kOk;
+}
+
+// ---------------------------------------------------------------------------
 // Durable mutations
 
 EngineStatus DurableSession::RegisterEvent(const std::string& name,
                                            double probability,
                                            EventId* out_event) {
   EventRegistry& registry = session_->pcc().events();
-  // Leading '_' is reserved for the anonymous events InsertFact mints
-  // ("_e<id>"); a user-held "_e5" would make a later anonymous
-  // registration abort on the duplicate name.
-  if (!ValidProbability(probability) || name.empty() || name[0] == '_' ||
-      registry.Find(name).has_value()) {
-    return EngineStatus::kInvalidArgument;
-  }
   WalRecord record;
   record.type = WalRecordType::kRegisterEvent;
   record.name = name;
   record.probability = probability;
   record.event = static_cast<EventId>(registry.size());
-  if (wal_->Append(record) != EngineStatus::kOk) return EngineStatus::kIoError;
+  const EngineStatus status = ValidateAndAppend(record);
+  if (status != EngineStatus::kOk) return status;
   const EventId id = registry.Register(name, probability);
   if (out_event != nullptr) *out_event = id;
   CountAppendAndMaybeCheckpoint();
@@ -525,15 +555,12 @@ EngineStatus DurableSession::RegisterEvent(const std::string& name,
 
 EngineStatus DurableSession::SetProbability(EventId event,
                                             double probability) {
-  if (event >= session_->pcc().events().size() ||
-      !ValidProbability(probability)) {
-    return EngineStatus::kInvalidArgument;
-  }
   WalRecord record;
   record.type = WalRecordType::kSetProbability;
   record.event = event;
   record.probability = probability;
-  if (wal_->Append(record) != EngineStatus::kOk) return EngineStatus::kIoError;
+  const EngineStatus status = ValidateAndAppend(record);
+  if (status != EngineStatus::kOk) return status;
   session_->UpdateProbability(event, probability);
   CountAppendAndMaybeCheckpoint();
   return EngineStatus::kOk;
@@ -541,15 +568,12 @@ EngineStatus DurableSession::SetProbability(EventId event,
 
 EngineStatus DurableSession::UpdateProbability(EventId event,
                                                double probability) {
-  if (event >= session_->pcc().events().size() ||
-      !ValidProbability(probability)) {
-    return EngineStatus::kInvalidArgument;
-  }
   WalRecord record;
   record.type = WalRecordType::kUpdateProbability;
   record.event = event;
   record.probability = probability;
-  if (wal_->Append(record) != EngineStatus::kOk) return EngineStatus::kIoError;
+  const EngineStatus status = ValidateAndAppend(record);
+  if (status != EngineStatus::kOk) return status;
   incremental_->UpdateProbability(event, probability);
   CountAppendAndMaybeCheckpoint();
   return EngineStatus::kOk;
@@ -560,12 +584,6 @@ EngineStatus DurableSession::InsertFact(RelationId relation,
                                         double probability,
                                         incremental::InsertedFact* out) {
   const PccInstance& pcc = session_->pcc();
-  const Schema& schema = pcc.instance().schema();
-  if (relation >= schema.NumRelations() ||
-      args.size() != schema.arity(relation) ||
-      !ValidProbability(probability)) {
-    return EngineStatus::kInvalidArgument;
-  }
   WalRecord record;
   record.type = WalRecordType::kInsertFact;
   record.relation = relation;
@@ -577,7 +595,8 @@ EngineStatus DurableSession::InsertFact(RelationId relation,
   record.fact = static_cast<FactId>(pcc.NumFacts());
   record.event = static_cast<EventId>(pcc.events().size());
   record.root = static_cast<GateId>(pcc.circuit().NumGates());
-  if (wal_->Append(record) != EngineStatus::kOk) return EngineStatus::kIoError;
+  const EngineStatus status = ValidateAndAppend(record);
+  if (status != EngineStatus::kOk) return status;
   const incremental::InsertedFact got =
       incremental_->InsertFact(relation, std::move(args), probability);
   if (out != nullptr) *out = got;
@@ -586,25 +605,25 @@ EngineStatus DurableSession::InsertFact(RelationId relation,
 }
 
 EngineStatus DurableSession::DeleteFact(FactId fact) {
-  const PccInstance& pcc = session_->pcc();
-  if (fact >= pcc.NumFacts() ||
-      pcc.circuit().kind(pcc.annotation(fact)) != GateKind::kVar) {
-    return EngineStatus::kInvalidArgument;
-  }
   WalRecord record;
   record.type = WalRecordType::kDeleteFact;
   record.fact = fact;
-  if (wal_->Append(record) != EngineStatus::kOk) return EngineStatus::kIoError;
+  const EngineStatus status = ValidateAndAppend(record);
+  if (status != EngineStatus::kOk) return status;
   incremental_->DeleteFact(fact);
   CountAppendAndMaybeCheckpoint();
   return EngineStatus::kOk;
 }
 
 // ---------------------------------------------------------------------------
-// Durable registrations (apply -> append; see header)
+// Durable registrations (validate -> apply -> append; see header)
 
 EngineStatus DurableSession::RegisterCq(const ConjunctiveQuery& query,
                                         incremental::QueryId* out_query) {
+  WalRecord record;
+  record.type = WalRecordType::kRegisterCq;
+  record.cq = query;
+  if (!ValidRecord(record)) return EngineStatus::kInvalidArgument;
   const incremental::QueryId qid = incremental_->RegisterCq(query);
   if (out_query != nullptr) *out_query = qid;
   CheckpointState::QueryRow row;
@@ -613,9 +632,6 @@ EngineStatus DurableSession::RegisterCq(const ConjunctiveQuery& query,
   row.root = incremental_->root(qid);
   query_defs_.push_back(row);
 
-  WalRecord record;
-  record.type = WalRecordType::kRegisterCq;
-  record.cq = query;
   record.root = row.root;
   if (wal_->Append(record) != EngineStatus::kOk) return EngineStatus::kIoError;
   CountAppendAndMaybeCheckpoint();
@@ -625,9 +641,12 @@ EngineStatus DurableSession::RegisterCq(const ConjunctiveQuery& query,
 EngineStatus DurableSession::RegisterReachability(
     RelationId relation, Value source, Value target,
     incremental::QueryId* out_query) {
-  if (relation >= session_->pcc().instance().schema().NumRelations()) {
-    return EngineStatus::kInvalidArgument;
-  }
+  WalRecord record;
+  record.type = WalRecordType::kRegisterReachability;
+  record.relation = relation;
+  record.source = source;
+  record.target = target;
+  if (!ValidRecord(record)) return EngineStatus::kInvalidArgument;
   const incremental::QueryId qid =
       incremental_->RegisterReachability(relation, source, target);
   if (out_query != nullptr) *out_query = qid;
@@ -639,11 +658,6 @@ EngineStatus DurableSession::RegisterReachability(
   row.root = incremental_->root(qid);
   query_defs_.push_back(row);
 
-  WalRecord record;
-  record.type = WalRecordType::kRegisterReachability;
-  record.relation = relation;
-  record.source = source;
-  record.target = target;
   record.root = row.root;
   if (wal_->Append(record) != EngineStatus::kOk) return EngineStatus::kIoError;
   CountAppendAndMaybeCheckpoint();

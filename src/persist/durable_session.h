@@ -19,7 +19,7 @@
 /// never replays a mutation the live session rejected, and a mutation
 /// acknowledged kOk is on disk. Query *registrations* are the one
 /// exception: their lineage root is only known after the DP runs, so
-/// they apply first and append after — an append failure there breaks
+/// they validate, apply, and append after — an append failure there breaks
 /// the writer (all later durable mutations fail with kIoError) instead
 /// of leaving a silent divergence.
 ///
@@ -128,8 +128,13 @@ class DurableSession {
   /// (the same precondition the live session TUD_CHECKs).
   EngineStatus DeleteFact(FactId fact);
 
-  // Durable query registrations: apply -> append (see file comment).
+  // Durable query registrations: validate -> apply -> append (see file
+  // comment).
 
+  /// kInvalidArgument (nothing logged, nothing applied) when the query is
+  /// outside the lineage DP's fixed-query regime: more than
+  /// kMaxLineageCqVars variables or kMaxLineageCqAtoms atoms, or a
+  /// variable id that occurs in no atom.
   EngineStatus RegisterCq(const ConjunctiveQuery& query,
                           incremental::QueryId* out_query = nullptr);
   EngineStatus RegisterReachability(RelationId relation, Value source,
@@ -179,8 +184,18 @@ class DurableSession {
   /// re-registration roots diverge from the recorded ones.
   EngineStatus RestoreFromState(const CheckpointState& state);
 
+  /// The one validity check of a durable mutation: true iff the live
+  /// session accepts `record` in the current state. The live paths
+  /// return kInvalidArgument on false, with nothing logged or applied;
+  /// replay returns kIoError (the live session never logged it).
+  bool ValidRecord(const WalRecord& record) const;
+
+  /// ValidRecord, then the WAL append: kInvalidArgument, kIoError (the
+  /// mutation stays unapplied) or kOk (apply it now).
+  EngineStatus ValidateAndAppend(const WalRecord& record);
+
   /// Applies one replayed record through the live code paths, verifying
-  /// recorded ids. kIoError on any divergence.
+  /// recorded ids. kIoError on an invalid record or any divergence.
   EngineStatus ReplayRecord(const WalRecord& record, RecoveryStats* stats);
 
   void CountAppendAndMaybeCheckpoint();

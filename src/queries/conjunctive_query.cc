@@ -13,6 +13,21 @@ void ConjunctiveQuery::AddAtom(RelationId relation, std::vector<Term> terms) {
   atoms_.push_back(QueryAtom{relation, std::move(terms)});
 }
 
+bool ConjunctiveQuery::AllVarsOccur() const {
+  std::vector<VarId> vars;
+  for (const QueryAtom& atom : atoms_) {
+    for (const Term& t : atom.terms) {
+      if (t.is_var) vars.push_back(t.var);
+    }
+  }
+  std::sort(vars.begin(), vars.end());
+  vars.erase(std::unique(vars.begin(), vars.end()), vars.end());
+  // Ids 0..NumVars()-1 all occur iff there are NumVars() distinct ids
+  // and the largest is NumVars()-1.
+  return vars.size() == num_vars_ &&
+         (vars.empty() || vars.back() + 1 == num_vars_);
+}
+
 namespace {
 
 // Backtracking join: extend the partial assignment atom by atom.

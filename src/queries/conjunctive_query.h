@@ -53,7 +53,7 @@ class ConjunctiveQuery {
 
   /// True iff every variable occurs in at least one atom (required by
   /// the lineage construction; violated only by degenerate queries).
-  bool AllVarsOccur() const { return true; }
+  bool AllVarsOccur() const;
 
   /// Naive Boolean evaluation by backtracking join over the (certain)
   /// instance. Exponential in the query, polynomial in the data; this is

@@ -49,8 +49,10 @@ GateId ComputeCqLineageOnDecomposition(
     LineageStats* stats) {
   const uint32_t num_vars = query.NumVars();
   const uint32_t num_atoms = static_cast<uint32_t>(query.NumAtoms());
-  TUD_CHECK_LE(num_vars, 8u) << "fixed-query regime: too many variables";
-  TUD_CHECK_LE(num_atoms, 16u) << "fixed-query regime: too many atoms";
+  TUD_CHECK_LE(num_vars, kMaxLineageCqVars)
+      << "fixed-query regime: too many variables";
+  TUD_CHECK_LE(num_atoms, kMaxLineageCqAtoms)
+      << "fixed-query regime: too many atoms";
   TUD_CHECK_EQ(facts_at_node.size(), ntd.NumNodes());
   BoolCircuit& circuit = pcc.circuit();
 
@@ -231,7 +233,7 @@ DecomposedInstance DecomposeInstance(const Instance& instance) {
   const uint32_t n = static_cast<uint32_t>(instance.DomainSize());
   Graph gaifman(n);
   for (const auto& [a, b] : instance.GaifmanEdges()) gaifman.AddEdge(a, b);
-  return DecomposeInstanceWithOrder(instance, MinFillOrder(gaifman));
+  return DecomposeInstanceWithOrder(instance, MinFillOrder(gaifman).order);
 }
 
 DecomposedInstance DecomposeInstanceWithOrder(const Instance& instance,

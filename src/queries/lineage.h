@@ -2,6 +2,7 @@
 #define TUD_QUERIES_LINEAGE_H_
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "circuits/bool_circuit.h"
@@ -36,9 +37,12 @@ struct LineageStats {
 /// node is a constant, so the construction is linear in the instance —
 /// the PTIME/linear-time claim of the theorems.
 ///
-/// Requirements: every query variable occurs in some atom; at most 8
-/// variables and 16 atoms (checked) — data complexity is the paper's
-/// regime, combined complexity is explicitly out of scope (§2.2 end).
+/// Requirements: every query variable occurs in some atom; at most
+/// kMaxLineageCqVars variables and kMaxLineageCqAtoms atoms (checked) —
+/// data complexity is the paper's regime, combined complexity is
+/// explicitly out of scope (§2.2 end).
+inline constexpr uint32_t kMaxLineageCqVars = 8;
+inline constexpr uint32_t kMaxLineageCqAtoms = 16;
 GateId ComputeCqLineage(const ConjunctiveQuery& query, PccInstance& pcc,
                         LineageStats* stats = nullptr);
 

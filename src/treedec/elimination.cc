@@ -5,9 +5,7 @@
 #include <limits>
 #include <queue>
 #include <tuple>
-#include <unordered_set>
 
-#include "automata/state_set.h"  // Word-level bitset helpers.
 #include "treedec/elimination_graph.h"
 #include "util/check.h"
 
@@ -15,21 +13,29 @@ namespace tud {
 
 namespace {
 
+// Appends v to the order, folding its elimination degree (its bag is v
+// plus its current filled neighborhood) into the width and table cost.
+void Record(EliminationOrder& out, VertexId v, uint32_t degree) {
+  out.order.push_back(v);
+  out.width = std::max(out.width, degree);
+  const uint32_t bits = std::min(degree + 1, kEliminationCostCapBits);
+  out.table_cost += static_cast<double>(uint64_t{1} << bits);
+}
+
 template <typename WorkGraph>
-std::vector<VertexId> GreedyOrder(const Graph& graph, bool use_fill,
-                                  bool peel) {
-  // Lazy-heap greedy elimination: each heap entry snapshots a vertex's
-  // (score, degree, id, version); stale entries (version mismatch) are
-  // dropped on pop. Eliminating v only changes the scores of vertices in
-  // its (post-elimination) two-hop neighborhood, so the heap is repaired
+EliminationOrder GreedyOrder(const Graph& graph, bool peel) {
+  // Lazy-heap min-fill: each heap entry snapshots a vertex's (fill,
+  // degree, id, version); stale entries (version mismatch) are dropped
+  // on pop. Eliminating v only changes the scores of vertices in its
+  // (post-elimination) two-hop neighborhood, so the heap is repaired
   // locally — near-linear on the sparse graphs the library produces,
   // versus a full rescan per elimination.
   const uint32_t n = graph.NumVertices();
   WorkGraph work(graph);
   std::vector<uint64_t> version(n, 0);
 
-  std::vector<VertexId> order;
-  order.reserve(n);
+  EliminationOrder out;
+  out.order.reserve(n);
 
   if (peel) {
     // Peel phase: repeatedly eliminate vertices of degree <= 2. The
@@ -60,7 +66,7 @@ std::vector<VertexId> GreedyOrder(const Graph& graph, bool use_fill,
         two_stack.pop_back();
         if (!work.alive(v) || work.Degree(v) != 2) continue;
       }
-      order.push_back(v);
+      Record(out, v, work.Degree(v));
       ring.clear();
       work.ForEachNeighbor(v, [&](VertexId u) { ring.push_back(u); });
       work.Eliminate(v);
@@ -79,10 +85,7 @@ std::vector<VertexId> GreedyOrder(const Graph& graph, bool use_fill,
   std::priority_queue<Entry, std::vector<Entry>, std::greater<Entry>> heap;
   constexpr size_t kFillCap = 256;
   auto push = [&](VertexId v) {
-    size_t primary =
-        use_fill ? work.FillCount(v, kFillCap) : work.Degree(v);
-    uint32_t secondary = use_fill ? work.Degree(v) : 0;
-    heap.emplace(primary, secondary, v, version[v]);
+    heap.emplace(work.FillCount(v, kFillCap), work.Degree(v), v, version[v]);
   };
   for (VertexId v = 0; v < n; ++v) {
     if (work.alive(v)) push(v);
@@ -90,18 +93,18 @@ std::vector<VertexId> GreedyOrder(const Graph& graph, bool use_fill,
   constexpr uint16_t kRingMark = UINT16_MAX;
   std::vector<uint16_t> mark(n, 0);
   std::vector<VertexId> ring, affected, touched;
-  while (order.size() < n) {
+  while (out.order.size() < n) {
     TUD_CHECK(!heap.empty());
     auto [primary, secondary, v, entry_version] = heap.top();
     heap.pop();
     if (!work.alive(v) || entry_version != version[v]) continue;
-    order.push_back(v);
+    Record(out, v, work.Degree(v));
     // Vertices whose score actually changes: v's neighbors (adjacency
-    // and degree change), plus — for min-fill — outside vertices with
-    // at least TWO neighbors in the ring: elimination only adds edges
-    // inside the ring, and a new edge (a, b) changes the fill count of
-    // exactly the common neighbors of a and b. One-ring-neighbor
-    // vertices keep their scores, and their live heap entries with them.
+    // and degree change), plus outside vertices with at least TWO
+    // neighbors in the ring: elimination only adds edges inside the
+    // ring, and a new edge (a, b) changes the fill count of exactly the
+    // common neighbors of a and b. One-ring-neighbor vertices keep their
+    // scores, and their live heap entries with them.
     ring.clear();
     work.ForEachNeighbor(v, [&](VertexId u) { ring.push_back(u); });
     work.Eliminate(v);
@@ -111,21 +114,19 @@ std::vector<VertexId> GreedyOrder(const Graph& graph, bool use_fill,
       mark[u] = kRingMark;
       affected.push_back(u);
     }
-    if (use_fill) {
-      for (VertexId u : ring) {
-        work.ForEachNeighbor(u, [&](VertexId w) {
-          if (mark[w] == kRingMark || mark[w] == 2) return;
-          if (mark[w] == 0) {
-            touched.push_back(w);
-            mark[w] = 1;
-          } else {
-            mark[w] = 2;
-            affected.push_back(w);
-          }
-        });
-      }
-      for (VertexId w : touched) mark[w] = 0;
+    for (VertexId u : ring) {
+      work.ForEachNeighbor(u, [&](VertexId w) {
+        if (mark[w] == kRingMark || mark[w] == 2) return;
+        if (mark[w] == 0) {
+          touched.push_back(w);
+          mark[w] = 1;
+        } else {
+          mark[w] = 2;
+          affected.push_back(w);
+        }
+      });
     }
+    for (VertexId w : touched) mark[w] = 0;
     for (VertexId u : affected) {
       mark[u] = 0;
       if (!work.alive(u)) continue;
@@ -133,42 +134,37 @@ std::vector<VertexId> GreedyOrder(const Graph& graph, bool use_fill,
       push(u);
     }
   }
-  return order;
+  return out;
 }
 
-std::vector<VertexId> GreedyOrderDispatch(const Graph& graph,
-                                          bool use_fill, bool peel) {
+EliminationOrder GreedyOrderDispatch(const Graph& graph, bool peel) {
   if (graph.NumVertices() <= kDenseVertexLimit) {
-    return GreedyOrder<DenseEliminationGraph>(graph, use_fill, peel);
+    return GreedyOrder<DenseEliminationGraph>(graph, peel);
   }
-  return GreedyOrder<SparseEliminationGraph>(graph, use_fill, peel);
+  return GreedyOrder<SparseEliminationGraph>(graph, peel);
 }
 
 }  // namespace
 
-std::vector<VertexId> MinFillOrder(const Graph& graph) {
-  return GreedyOrderDispatch(graph, /*use_fill=*/true, /*peel=*/false);
+EliminationOrder MinFillOrder(const Graph& graph) {
+  return GreedyOrderDispatch(graph, /*peel=*/false);
 }
 
-std::vector<VertexId> MinDegreeOrder(const Graph& graph) {
-  return GreedyOrderDispatch(graph, /*use_fill=*/false, /*peel=*/false);
+EliminationOrder PeeledMinFillOrder(const Graph& graph) {
+  return GreedyOrderDispatch(graph, /*peel=*/true);
 }
 
-std::vector<VertexId> PeeledMinFillOrder(const Graph& graph) {
-  return GreedyOrderDispatch(graph, /*use_fill=*/true, /*peel=*/true);
-}
-
-std::vector<VertexId> CircuitMinDegreeOrder(const Graph& graph) {
-  // Min-degree with a bucket queue instead of a binary heap: degrees are
-  // small integers and only change for the eliminated vertex's ring, so
-  // every queue operation is O(1) (stale entries are dropped on pop by
-  // re-checking the live degree). On binarised circuit primal graphs
-  // this produces the same widths as min-fill at a fraction of the cost;
-  // the junction-tree pipeline verifies the width and falls back to
-  // min-fill when the result is wide.
+EliminationOrder MinDegreeOrder(const Graph& graph) {
+  // A bucket queue instead of a binary heap: degrees are small integers
+  // and only change for the eliminated vertex's ring, so every queue
+  // operation is O(1) (stale entries are dropped on pop by re-checking
+  // the live degree). On binarised circuit primal graphs this produces
+  // the same widths as min-fill at a fraction of the cost; the
+  // junction-tree pipeline falls back to min-fill when the result is
+  // wide.
   const uint32_t n = graph.NumVertices();
-  std::vector<VertexId> order;
-  order.reserve(n);
+  EliminationOrder out;
+  out.order.reserve(n);
   auto run = [&](auto work) {
     std::vector<std::vector<VertexId>> buckets;
     auto bucket_push = [&](VertexId v, uint32_t degree) {
@@ -178,13 +174,13 @@ std::vector<VertexId> CircuitMinDegreeOrder(const Graph& graph) {
     for (VertexId v = 0; v < n; ++v) bucket_push(v, work.Degree(v));
     uint32_t d = 0;
     std::vector<VertexId> ring;
-    while (order.size() < n) {
+    while (out.order.size() < n) {
       while (d < buckets.size() && buckets[d].empty()) ++d;
       TUD_CHECK_LT(d, buckets.size());
       const VertexId v = buckets[d].back();
       buckets[d].pop_back();
       if (!work.alive(v) || work.Degree(v) != d) continue;  // Stale entry.
-      order.push_back(v);
+      Record(out, v, d);
       ring.clear();
       work.ForEachNeighbor(v, [&](VertexId u) { ring.push_back(u); });
       work.Eliminate(v);
@@ -200,31 +196,7 @@ std::vector<VertexId> CircuitMinDegreeOrder(const Graph& graph) {
   } else {
     run(SparseEliminationGraph(graph));
   }
-  return order;
-}
-
-uint32_t EliminationWidth(const Graph& graph,
-                          const std::vector<VertexId>& order) {
-  return EliminationWidthAndCost(graph, order, nullptr);
-}
-
-uint32_t EliminationWidthAndCost(const Graph& graph,
-                                 const std::vector<VertexId>& order,
-                                 double* table_cost) {
-  TUD_CHECK_EQ(order.size(), graph.NumVertices());
-  SparseEliminationGraph work(graph);
-  uint32_t width = 0;
-  double cost = 0;
-  for (VertexId v : order) {
-    const uint32_t degree = work.Degree(v);
-    width = std::max(width, degree);
-    // The bag of v is v plus its current (filled) neighborhood.
-    const uint32_t bits = std::min(degree + 1, kEliminationCostCapBits);
-    cost += static_cast<double>(uint64_t{1} << bits);
-    work.Eliminate(v);
-  }
-  if (table_cost != nullptr) *table_cost = cost;
-  return width;
+  return out;
 }
 
 namespace {

@@ -11,49 +11,49 @@ namespace tud {
 
 /// Heuristics producing vertex elimination orders, from which tree
 /// decompositions are derived (TreeDecomposition::FromEliminationOrder).
-/// Both are the standard upper-bound heuristics; min-fill usually yields
+/// All are the standard upper-bound heuristics; min-fill usually yields
 /// smaller width, min-degree is faster. X10 (treedec ablation) compares
 /// them against exact treewidth on small graphs.
+///
+/// Each heuristic reports the width and table cost of its order from the
+/// one elimination pass that chose it: the elimination degree of v is
+/// the number of not-yet-eliminated neighbors of v in the progressively
+/// filled graph, and the bag of v in the derived decomposition is v plus
+/// exactly those neighbors.
+
+/// Per-bag table sizes are capped at 2^kEliminationCostCapBits so
+/// pathological orders cannot overflow the double's dynamic range; any
+/// such order is far past exact-inference feasibility anyway.
+inline constexpr uint32_t kEliminationCostCapBits = 63;
+
+/// An elimination order with the numbers of the decomposition it derives.
+struct EliminationOrder {
+  std::vector<VertexId> order;
+  /// Maximum elimination degree: the width of the derived decomposition.
+  uint32_t width = 0;
+  /// Σ_v 2^min(deg(v)+1, kEliminationCostCapBits), summed in elimination
+  /// order: the total table-entry count of the derived decomposition's
+  /// per-vertex bags, i.e. the work of one message pass over it. This is
+  /// the unit of the batch planner's shared-vs-per-root cost model.
+  double table_cost = 0;
+};
 
 /// Min-fill: repeatedly eliminates the vertex whose elimination adds the
 /// fewest fill edges (ties broken by smaller degree, then smaller id).
-std::vector<VertexId> MinFillOrder(const Graph& graph);
-
-/// Min-degree: repeatedly eliminates a vertex of minimum current degree.
-std::vector<VertexId> MinDegreeOrder(const Graph& graph);
+EliminationOrder MinFillOrder(const Graph& graph);
 
 /// Min-fill preceded by a linear-time peel of all vertices of (current)
 /// degree <= 2 — the islet/twig/series reduction rules. Degree-<=1
 /// vertices are peeled with priority, so forests stay width 1; the
 /// series rule is width-preserving on everything else (treewidth >= 2).
-std::vector<VertexId> PeeledMinFillOrder(const Graph& graph);
+EliminationOrder PeeledMinFillOrder(const Graph& graph);
 
-/// Bucket-queue min-degree: every queue operation is O(1), so the order
-/// costs little more than the eliminations themselves. The fast path of
-/// the junction-tree inference pipeline for circuit primal graphs (it
-/// cross-checks the resulting width and falls back to min-fill when the
-/// cheap order comes out wide).
-std::vector<VertexId> CircuitMinDegreeOrder(const Graph& graph);
-
-/// Width of an elimination order: the maximum, over eliminated vertices,
-/// of the number of not-yet-eliminated neighbors at elimination time (in
-/// the progressively filled graph). Equals the width of the derived tree
-/// decomposition.
-uint32_t EliminationWidth(const Graph& graph,
-                          const std::vector<VertexId>& order);
-
-/// As EliminationWidth, additionally accumulating Σ_v 2^(deg(v)+1) into
-/// `*table_cost` — the total table-entry count of the decomposition the
-/// order derives (each eliminated vertex's bag is its closed filled
-/// neighborhood), i.e. the work of one message pass over it. This is the
-/// unit of the batch planner's shared-vs-per-root cost model. Degrees at
-/// or above `kEliminationCostCapBits` saturate to 2^kEliminationCostCapBits
-/// per bag so pathological orders cannot overflow the double's dynamic
-/// range; any such order is far past exact-inference feasibility anyway.
-inline constexpr uint32_t kEliminationCostCapBits = 63;
-uint32_t EliminationWidthAndCost(const Graph& graph,
-                                 const std::vector<VertexId>& order,
-                                 double* table_cost);
+/// Min-degree with a bucket queue: every queue operation is O(1), so the
+/// order costs little more than the eliminations themselves. The fast
+/// path of the junction-tree inference pipeline for circuit primal
+/// graphs (it falls back to min-fill when the cheap order comes out
+/// wide).
+EliminationOrder MinDegreeOrder(const Graph& graph);
 
 /// Exact treewidth by branch-and-bound over elimination orders with
 /// memoisation on eliminated subsets. Exponential: only for graphs with

@@ -14,7 +14,12 @@
 #include "inference/engine.h"
 #include "inference/hybrid.h"
 #include "inference/junction_tree.h"
+#include "queries/reachability.h"
+#include "uncertain/c_instance.h"
+#include "uncertain/pcc_instance.h"
+#include "uncertain/tid_instance.h"
 #include "util/rng.h"
+#include "workloads/workloads.h"
 
 namespace tud {
 namespace {
@@ -238,6 +243,28 @@ TEST(AutoEngineTest, WidthEstimateMatchesPlanAnalysis) {
     EXPECT_EQ(plan.width(), estimate);
   } else {
     EXPECT_LE(plan.width(), estimate);
+  }
+}
+
+// ladder:48 reachability lineages (the shape of the adhoc-cold
+// benchmark): the min-degree order is the one Build accepts, so the
+// analysis's width and table cost are those of the built plan. The
+// plan's total also counts the one cell of the decomposition's empty
+// root bag, which no vertex elimination creates.
+TEST(AutoEngineTest, LadderProbeMatchesBuiltPlan) {
+  const TidInstance tid =
+      workloads::MakeInstance(*workloads::ParseInstanceSpec("ladder:48"));
+  for (const Value target : {10u, 50u}) {
+    PccInstance pcc = PccInstance::FromCInstance(tid.ToPcInstance());
+    const GateId lineage = ComputeReachabilityLineage(pcc, 0, 0, target);
+    JunctionTreeAnalysis analysis =
+        JunctionTreeAnalysis::Analyze(pcc.circuit(), lineage);
+    const int width = analysis.MinDegreeWidth();
+    const double cost = analysis.TableCost();
+    const JunctionTreePlan plan = JunctionTreePlan::Build(std::move(analysis));
+    ASSERT_EQ(plan.build_status(), EngineStatus::kOk) << "t=" << target;
+    EXPECT_EQ(width, plan.width()) << "t=" << target;
+    EXPECT_EQ(cost + 1, plan.total_cells()) << "t=" << target;
   }
 }
 

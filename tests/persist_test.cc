@@ -30,6 +30,8 @@
 #include "persist/codec.h"
 #include "persist/durable_session.h"
 #include "persist/wal.h"
+#include "queries/conjunctive_query.h"
+#include "queries/lineage.h"
 #include "queries/query_session.h"
 #include "uncertain/pcc_instance.h"
 #include "util/budget.h"
@@ -677,6 +679,15 @@ TEST(DurableSessionTest, RejectedMutationsLeaveNoWalRecord) {
             EngineStatus::kInvalidArgument);  // Unknown fact.
   EXPECT_EQ(durable->RegisterReachability(9, 0, 1),
             EngineStatus::kInvalidArgument);  // Unknown relation.
+  ConjunctiveQuery unused_var;  // x1 occurs in no atom.
+  unused_var.AddAtom(0, {Term::V(0), Term::V(2)});
+  EXPECT_EQ(durable->RegisterCq(unused_var), EngineStatus::kInvalidArgument);
+  ConjunctiveQuery nine_vars;  // One past the lineage DP's variable cap.
+  for (VarId v = 0; v < kMaxLineageCqVars; ++v) {
+    nine_vars.AddAtom(0, {Term::V(v), Term::V(v + 1)});
+  }
+  ASSERT_EQ(nine_vars.NumVars(), kMaxLineageCqVars + 1);
+  EXPECT_EQ(durable->RegisterCq(nine_vars), EngineStatus::kInvalidArgument);
   EXPECT_EQ(durable->next_lsn(), lsn);
 
   // And the directory still recovers to exactly the accepted prefix.
@@ -687,6 +698,35 @@ TEST(DurableSessionTest, RejectedMutationsLeaveNoWalRecord) {
                                     &stats),
             EngineStatus::kOk);
   EXPECT_EQ(stats.records_replayed, 2u);
+  fs::remove_all(dir);
+}
+
+// A logged registration the live session would have rejected is log
+// damage: recovery reports kIoError instead of aborting in the lineage DP.
+TEST(DurableSessionTest, ReplayRejectsMalformedCqRecord) {
+  const std::string dir = FreshDir("malformed_cq");
+  std::unique_ptr<DurableSession> durable;
+  ASSERT_EQ(DurableSession::Create(dir, EdgeSchema(), PersistOptions{},
+                                   &durable),
+            EngineStatus::kOk);
+  ASSERT_EQ(durable->InsertFact(0, {0, 1}, 0.5), EngineStatus::kOk);
+  const std::string wal_path = durable->dir() + "/wal-0.log";
+  const uint64_t lsn = durable->next_lsn();
+  durable.reset();
+
+  std::unique_ptr<WalWriter> writer;
+  ASSERT_EQ(WalWriter::OpenForAppend(wal_path, lsn, WalOptions{}, &writer),
+            EngineStatus::kOk);
+  WalRecord record;
+  record.type = WalRecordType::kRegisterCq;
+  record.cq.AddAtom(0, {Term::V(0), Term::V(2)});  // x1 occurs nowhere.
+  record.root = 0;
+  ASSERT_EQ(writer->Append(record), EngineStatus::kOk);
+  writer.reset();
+
+  std::unique_ptr<DurableSession> recovered;
+  EXPECT_EQ(DurableSession::Recover(dir, PersistOptions{}, &recovered),
+            EngineStatus::kIoError);
   fs::remove_all(dir);
 }
 

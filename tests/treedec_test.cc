@@ -1,7 +1,12 @@
 #include <algorithm>
+#include <cmath>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "gtest/gtest.h"
 #include "treedec/elimination.h"
+#include "treedec/elimination_graph.h"
 #include "treedec/graph.h"
 #include "treedec/nice_decomposition.h"
 #include "treedec/tree_decomposition.h"
@@ -66,29 +71,98 @@ TEST(GraphTest, BasicOperations) {
   EXPECT_EQ(g.Degree(3), 0u);
 }
 
+// Random recursive forest: vertex i > 0 hangs off a random earlier
+// vertex, or (with probability `root_p`) starts a new component.
+Graph RandomForest(uint32_t n, double root_p, uint64_t seed) {
+  Rng rng(seed);
+  Graph g(n);
+  for (uint32_t i = 1; i < n; ++i) {
+    if (!rng.Bernoulli(root_p)) {
+      g.AddEdge(i, static_cast<VertexId>(rng.UniformInt(i)));
+    }
+  }
+  return g;
+}
+
+using Heuristic = EliminationOrder (*)(const Graph&);
+constexpr Heuristic kHeuristics[] = {&MinFillOrder, &PeeledMinFillOrder,
+                                     &MinDegreeOrder};
+
+// Every graph family of this file, each with a label for failures.
+std::vector<std::pair<std::string, Graph>> GraphFamilies() {
+  std::vector<std::pair<std::string, Graph>> families = {
+      {"path", PathGraph(10)},        {"cycle", CycleGraph(8)},
+      {"grid", GridGraph(5, 6)},      {"complete", CompleteGraph(7)},
+      {"edgeless", Graph(4)},
+  };
+  for (uint64_t seed = 0; seed < 10; ++seed) {
+    families.emplace_back("tree/" + std::to_string(seed),
+                          RandomForest(40, 0.0, seed));
+    families.emplace_back("forest/" + std::to_string(seed),
+                          RandomForest(40, 0.15, seed + 100));
+    families.emplace_back("random/" + std::to_string(seed),
+                          RandomGraph(30, 0.15, seed));
+  }
+  // Past kDenseVertexLimit the heuristics eliminate on the sparse
+  // adjacency-set graph.
+  families.emplace_back("sparse-forest",
+                        RandomForest(kDenseVertexLimit + 100, 0.01, 7));
+  return families;
+}
+
 TEST(EliminationTest, OrdersArePermutations) {
   Graph g = GridGraph(4, 4);
-  for (const auto& order : {MinFillOrder(g), MinDegreeOrder(g)}) {
-    std::vector<VertexId> sorted = order;
+  for (Heuristic heuristic : kHeuristics) {
+    std::vector<VertexId> sorted = heuristic(g).order;
     std::sort(sorted.begin(), sorted.end());
     for (uint32_t i = 0; i < 16; ++i) EXPECT_EQ(sorted[i], i);
   }
 }
 
+// The width and table cost a heuristic reports from its elimination pass
+// are those of the decomposition its order derives: width = max bag
+// size - 1, table cost = Σ 2^|bag| over the per-vertex bags (the empty
+// root bag FromEliminationOrder adds is not a table).
+TEST(EliminationTest, ReportedWidthAndCostMatchDerivedDecomposition) {
+  for (const auto& [name, g] : GraphFamilies()) {
+    for (Heuristic heuristic : kHeuristics) {
+      const EliminationOrder elimination = heuristic(g);
+      std::vector<BagId> bag_of;
+      const TreeDecomposition td =
+          TreeDecomposition::FromEliminationOrder(g, elimination.order,
+                                                  &bag_of);
+      EXPECT_EQ(static_cast<int>(elimination.width), td.Width()) << name;
+      double cost = 0;
+      for (VertexId v : elimination.order) {
+        cost += std::ldexp(1.0, static_cast<int>(td.bag(bag_of[v]).size()));
+      }
+      EXPECT_EQ(elimination.table_cost, cost) << name;
+    }
+  }
+}
+
 TEST(EliminationTest, PathHasWidthOne) {
   Graph g = PathGraph(10);
-  EXPECT_EQ(EliminationWidth(g, MinFillOrder(g)), 1u);
-  EXPECT_EQ(EliminationWidth(g, MinDegreeOrder(g)), 1u);
+  EXPECT_EQ(MinFillOrder(g).width, 1u);
+  EXPECT_EQ(MinDegreeOrder(g).width, 1u);
+}
+
+TEST(EliminationTest, ForestsHaveWidthOne) {
+  for (uint64_t seed = 0; seed < 10; ++seed) {
+    Graph g = RandomForest(60, 0.1, seed);
+    EXPECT_EQ(MinDegreeOrder(g).width, 1u) << seed;
+    EXPECT_EQ(PeeledMinFillOrder(g).width, 1u) << seed;
+  }
 }
 
 TEST(EliminationTest, CycleHasWidthTwo) {
   Graph g = CycleGraph(8);
-  EXPECT_EQ(EliminationWidth(g, MinFillOrder(g)), 2u);
+  EXPECT_EQ(MinFillOrder(g).width, 2u);
 }
 
 TEST(EliminationTest, CliqueHasWidthNMinusOne) {
   Graph g = CompleteGraph(6);
-  EXPECT_EQ(EliminationWidth(g, MinFillOrder(g)), 5u);
+  EXPECT_EQ(MinFillOrder(g).width, 5u);
 }
 
 TEST(ExactTreewidthTest, KnownValues) {
@@ -104,8 +178,9 @@ TEST(ExactTreewidthTest, HeuristicsAreUpperBounds) {
   for (uint64_t seed = 0; seed < 10; ++seed) {
     Graph g = RandomGraph(10, 0.3, seed);
     uint32_t exact = *ExactTreewidth(g);
-    EXPECT_GE(EliminationWidth(g, MinFillOrder(g)), exact);
-    EXPECT_GE(EliminationWidth(g, MinDegreeOrder(g)), exact);
+    for (Heuristic heuristic : kHeuristics) {
+      EXPECT_GE(heuristic(g).width, exact);
+    }
   }
 }
 
@@ -122,10 +197,11 @@ TEST_P(DecompositionPropertyTest, EliminationDecompositionIsValid) {
   Rng rng(GetParam());
   uint32_t n = 5 + static_cast<uint32_t>(rng.UniformInt(15));
   Graph g = RandomGraph(n, 0.25, GetParam() * 977 + 1);
-  std::vector<VertexId> order = MinFillOrder(g);
-  TreeDecomposition td = TreeDecomposition::FromEliminationOrder(g, order);
+  const EliminationOrder elimination = MinFillOrder(g);
+  TreeDecomposition td =
+      TreeDecomposition::FromEliminationOrder(g, elimination.order);
   EXPECT_TRUE(td.IsValidFor(g));
-  EXPECT_EQ(td.Width(), static_cast<int>(EliminationWidth(g, order)));
+  EXPECT_EQ(td.Width(), static_cast<int>(elimination.width));
 }
 
 TEST_P(DecompositionPropertyTest, NiceDecompositionIsWellFormed) {
@@ -133,7 +209,7 @@ TEST_P(DecompositionPropertyTest, NiceDecompositionIsWellFormed) {
   uint32_t n = 5 + static_cast<uint32_t>(rng.UniformInt(10));
   Graph g = RandomGraph(n, 0.3, GetParam() * 31 + 7);
   TreeDecomposition td =
-      TreeDecomposition::FromEliminationOrder(g, MinFillOrder(g));
+      TreeDecomposition::FromEliminationOrder(g, MinFillOrder(g).order);
   NiceTreeDecomposition nice =
       NiceTreeDecomposition::FromTreeDecomposition(td);
   EXPECT_TRUE(nice.IsWellFormed());
@@ -153,7 +229,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, DecompositionPropertyTest,
 
 TEST(TreeDecompositionTest, BagOfVertexCoversCliques) {
   Graph g = CompleteGraph(4);
-  std::vector<VertexId> order = MinFillOrder(g);
+  std::vector<VertexId> order = MinFillOrder(g).order;
   std::vector<uint32_t> position(4);
   for (uint32_t i = 0; i < 4; ++i) position[order[i]] = i;
   std::vector<BagId> bag_of;
@@ -168,7 +244,7 @@ TEST(TreeDecompositionTest, BagOfVertexCoversCliques) {
 TEST(TreeDecompositionTest, FindBagContaining) {
   Graph g = PathGraph(5);
   TreeDecomposition td =
-      TreeDecomposition::FromEliminationOrder(g, MinFillOrder(g));
+      TreeDecomposition::FromEliminationOrder(g, MinFillOrder(g).order);
   EXPECT_NE(td.FindBagContaining({2, 3}), kInvalidBag);
   EXPECT_EQ(td.FindBagContaining({0, 4}), kInvalidBag);
 }
@@ -195,7 +271,7 @@ TEST(TreeDecompositionTest, DisconnectedOccurrencesDetected) {
 TEST(NiceDecompositionTest, PathDecomposition) {
   Graph g = PathGraph(6);
   TreeDecomposition td =
-      TreeDecomposition::FromEliminationOrder(g, MinFillOrder(g));
+      TreeDecomposition::FromEliminationOrder(g, MinFillOrder(g).order);
   NiceTreeDecomposition nice =
       NiceTreeDecomposition::FromTreeDecomposition(td);
   EXPECT_TRUE(nice.IsWellFormed());
@@ -206,7 +282,7 @@ TEST(NiceDecompositionTest, PathDecomposition) {
 TEST(NiceDecompositionTest, TopOfBagMapsToMatchingBags) {
   Graph g = GridGraph(3, 3);
   TreeDecomposition td =
-      TreeDecomposition::FromEliminationOrder(g, MinFillOrder(g));
+      TreeDecomposition::FromEliminationOrder(g, MinFillOrder(g).order);
   std::vector<NiceNodeId> top_of_bag;
   NiceTreeDecomposition nice =
       NiceTreeDecomposition::FromTreeDecomposition(td, &top_of_bag);

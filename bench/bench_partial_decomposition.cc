@@ -33,13 +33,19 @@ void BM_HybridCoreTentacles(benchmark::State& state) {
                      ? ExhaustiveEngine().Estimate(circuit, root,
                                                    registry).value
                      : -1;
-  EngineResult result;
   HybridEngine hybrid(/*target_width=*/3, /*max_core=*/core, samples,
                       /*seed=*/9);
   for (auto _ : state) {
-    result = hybrid.EstimateWithCore(circuit, root, registry, core_events);
-    benchmark::DoNotOptimize(result);
+    EngineResult timed =
+        hybrid.EstimateWithCore(circuit, root, registry, core_events);
+    benchmark::DoNotOptimize(timed);
   }
+  // The counters come from one estimate on a fresh engine with the same
+  // seed, so they do not depend on how many iterations were timed.
+  const EngineResult result =
+      HybridEngine(/*target_width=*/3, /*max_core=*/core, samples,
+                   /*seed=*/9)
+          .EstimateWithCore(circuit, root, registry, core_events);
   state.counters["core_events_chosen"] =
       static_cast<double>(core_events.size());
   state.counters["restricted_width"] = result.stats.width;
@@ -65,12 +71,14 @@ void BM_PureSamplingSameBudget(benchmark::State& state) {
                                                    registry).value
                      : -1;
   SamplingEngine sampler(samples, /*seed=*/9);
-  double p = 0;
   for (auto _ : state) {
     EngineResult estimate = sampler.Estimate(circuit, root, registry);
     benchmark::DoNotOptimize(estimate);
-    p = estimate.value;
   }
+  // As above: one estimate on a fresh engine with the same seed.
+  const double p =
+      SamplingEngine(samples, /*seed=*/9).Estimate(circuit, root, registry)
+          .value;
   state.counters["estimate"] = p;
   if (exact >= 0) state.counters["abs_error"] = std::abs(p - exact);
 }

@@ -46,8 +46,25 @@ void BM_MinDegreeOrder(benchmark::State& state) {
   state.counters["width"] = width;
   state.SetComplexityN(state.range(0));
 }
-BENCHMARK(BM_MinDegreeOrder)->RangeMultiplier(2)->Range(16, 512)
+// 20000 vertices, past 2^14: one graph representation serves every
+// size, so the time should stay near-linear in n with no step.
+BENCHMARK(BM_MinDegreeOrder)->RangeMultiplier(2)->Range(16, 512)->Arg(20000)
     ->Complexity();
+
+// The junction-tree pipeline's min-fill fallback, on partial 8-trees:
+// few vertices of degree <= 2 to peel, so nearly every elimination goes
+// through the fill heap.
+void BM_PeeledMinFillOrder(benchmark::State& state) {
+  Rng rng(1);
+  Graph g = MakeGraph(rng, static_cast<uint32_t>(state.range(0)), 8);
+  uint32_t width = 0;
+  for (auto _ : state) {
+    width = PeeledMinFillOrder(g).width;
+    benchmark::DoNotOptimize(width);
+  }
+  state.counters["width"] = width;
+}
+BENCHMARK(BM_PeeledMinFillOrder)->Arg(512)->Arg(2048);
 
 // Quality versus exact treewidth (small graphs): reports the average
 // width achieved by each method over random graphs.

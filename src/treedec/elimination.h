@@ -20,6 +20,17 @@ namespace tud {
 /// the number of not-yet-eliminated neighbors of v in the progressively
 /// filled graph, and the bag of v in the derived decomposition is v plus
 /// exactly those neighbors.
+///
+/// All three eliminate on one graph representation at every size: an
+/// adjacency list per vertex, so memory grows with the filled graph's
+/// edges, not with n^2. Min-fill keeps every vertex's fill count exact
+/// as it eliminates, updating only the ring and the common neighbors of
+/// each new fill edge, instead of recounting. The orders are
+/// deterministic: they depend on the graph, not on the iteration order
+/// of its neighbor sets. Ties break by ascending vertex id: min-fill
+/// takes the smallest (fill, degree, id), and min-degree and the peel
+/// push each eliminated vertex's neighbors in ascending id order onto
+/// LIFO queues.
 
 /// Per-bag table sizes are capped at 2^kEliminationCostCapBits so
 /// pathological orders cannot overflow the double's dynamic range; any
@@ -40,6 +51,7 @@ struct EliminationOrder {
 
 /// Min-fill: repeatedly eliminates the vertex whose elimination adds the
 /// fewest fill edges (ties broken by smaller degree, then smaller id).
+/// Fill counts from 256 up compare equal, so past that degree decides.
 EliminationOrder MinFillOrder(const Graph& graph);
 
 /// Min-fill preceded by a linear-time peel of all vertices of (current)

@@ -46,8 +46,14 @@ TreeDecomposition TreeDecomposition::FromEliminationOrder(
   // its higher original neighborhood united with bag(c) \ {c} for every
   // elimination-tree child c of v. Near-linear in the total bag size,
   // instead of simulating elimination with mutable adjacency sets.
-  std::vector<uint32_t> position(n);
-  for (uint32_t i = 0; i < n; ++i) position[order[i]] = i;
+  std::vector<uint32_t> position(n, UINT32_MAX);
+  for (uint32_t i = 0; i < n; ++i) {
+    const VertexId v = order[i];
+    TUD_CHECK_LT(v, n) << "elimination order names vertex " << v;
+    TUD_CHECK_EQ(position[v], UINT32_MAX)
+        << "vertex " << v << " appears twice in the elimination order";
+    position[v] = i;
+  }
 
   std::vector<std::vector<VertexId>> bag_contents(n);
   std::vector<std::vector<VertexId>> etree_children(n);

@@ -1,16 +1,27 @@
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <memory>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
+#include "automata/automaton_expr.h"
+#include "automata/automaton_library.h"
+#include "circuits/bool_circuit.h"
 #include "gtest/gtest.h"
+#include "inference/engine.h"
+#include "prxml/to_uncertain_tree.h"
+#include "queries/query_session.h"
 #include "treedec/elimination.h"
-#include "treedec/elimination_graph.h"
 #include "treedec/graph.h"
 #include "treedec/nice_decomposition.h"
 #include "treedec/tree_decomposition.h"
 #include "util/rng.h"
+#include "workloads/workloads.h"
 
 namespace tud {
 namespace {
@@ -103,11 +114,154 @@ std::vector<std::pair<std::string, Graph>> GraphFamilies() {
     families.emplace_back("random/" + std::to_string(seed),
                           RandomGraph(30, 0.15, seed));
   }
-  // Past kDenseVertexLimit the heuristics eliminate on the sparse
-  // adjacency-set graph.
-  families.emplace_back("sparse-forest",
-                        RandomForest(kDenseVertexLimit + 100, 0.01, 7));
+  // A forest of more than 2^14 vertices.
+  families.emplace_back("sparse-forest", RandomForest(16484, 0.01, 7));
   return families;
+}
+
+Graph StarGraph(uint32_t leaves) {
+  Graph g(leaves + 1);
+  for (VertexId leaf = 1; leaf <= leaves; ++leaf) g.AddEdge(0, leaf);
+  return g;
+}
+
+Graph PartialKTree(uint32_t n, uint32_t k, uint64_t seed) {
+  Rng rng(seed);
+  Graph g(n);
+  for (const auto& [a, b] : workloads::PartialKTreeEdges(rng, n, k, 0.9)) {
+    g.AddEdge(a, b);
+  }
+  return g;
+}
+
+// Min-fill by recounting: before every elimination, count the fill of
+// every alive vertex on an adjacency-matrix copy and eliminate the
+// minimum of (min(fill, 256), degree, id). `capped_picks`, if given,
+// counts the eliminations whose fill was at or past the cap.
+std::vector<VertexId> ReferenceMinFillOrder(const Graph& graph,
+                                            int* capped_picks = nullptr) {
+  constexpr uint64_t kFillCap = 256;
+  const uint32_t n = graph.NumVertices();
+  std::vector<std::vector<bool>> adjacent(n, std::vector<bool>(n, false));
+  for (VertexId v = 0; v < n; ++v) {
+    for (VertexId u : graph.Neighbors(v)) adjacent[v][u] = true;
+  }
+  std::vector<bool> alive(n, true);
+  auto neighbors = [&](VertexId v) {
+    std::vector<VertexId> out;
+    for (VertexId u = 0; u < n; ++u) {
+      if (alive[u] && adjacent[v][u]) out.push_back(u);
+    }
+    return out;
+  };
+  std::vector<VertexId> order;
+  for (uint32_t step = 0; step < n; ++step) {
+    std::tuple<uint64_t, size_t, VertexId> best(
+        std::numeric_limits<uint64_t>::max(), 0, 0);
+    for (VertexId v = 0; v < n; ++v) {
+      if (!alive[v]) continue;
+      const std::vector<VertexId> nbrs = neighbors(v);
+      uint64_t fill = 0;
+      for (size_t i = 0; i < nbrs.size(); ++i) {
+        for (size_t j = i + 1; j < nbrs.size(); ++j) {
+          fill += adjacent[nbrs[i]][nbrs[j]] ? 0 : 1;
+        }
+      }
+      best = std::min(best, {std::min(fill, kFillCap), nbrs.size(), v});
+    }
+    const VertexId v = std::get<2>(best);
+    if (capped_picks != nullptr && std::get<0>(best) == kFillCap) {
+      ++*capped_picks;
+    }
+    const std::vector<VertexId> nbrs = neighbors(v);
+    for (VertexId a : nbrs) {
+      for (VertexId b : nbrs) {
+        if (a != b) adjacent[a][b] = true;
+      }
+    }
+    alive[v] = false;
+    order.push_back(v);
+  }
+  return order;
+}
+
+// FNV-1a over an order, its width and the bits of its table cost.
+uint64_t Digest(const EliminationOrder& elimination) {
+  uint64_t hash = 14695981039346656037ull;
+  auto mix = [&](uint64_t word) {
+    for (int byte = 0; byte < 8; ++byte) {
+      hash ^= (word >> (8 * byte)) & 0xff;
+      hash *= 1099511628211ull;
+    }
+  };
+  for (VertexId v : elimination.order) mix(v);
+  mix(elimination.width);
+  mix(std::bit_cast<uint64_t>(elimination.table_cost));
+  return hash;
+}
+
+// The primal graph a junction-tree plan decomposes for one lineage gate:
+// over the gates of the binarised cone reachable from the root, numbered
+// in gate order, one clique per gate scope ({gate} and its inputs).
+Graph LineagePrimalGraph(const BoolCircuit& circuit, GateId root) {
+  const auto [cone, cone_roots] = circuit.ExtractCones({root});
+  const auto [bin, remap] = cone.Binarize();
+  const GateId bin_root = remap[cone_roots[0]];
+  std::vector<bool> seen(bin.NumGates(), false);
+  std::vector<GateId> stack;
+  if (bin.kind(bin_root) != GateKind::kConst) {
+    seen[bin_root] = true;
+    stack.push_back(bin_root);
+  }
+  while (!stack.empty()) {
+    const GateId g = stack.back();
+    stack.pop_back();
+    for (GateId in : bin.inputs(g)) {
+      if (!seen[in]) {
+        seen[in] = true;
+        stack.push_back(in);
+      }
+    }
+  }
+  std::vector<VertexId> vertex_of(bin.NumGates(), UINT32_MAX);
+  std::vector<GateId> gates;
+  for (GateId g = 0; g < bin.NumGates(); ++g) {
+    if (!seen[g]) continue;
+    vertex_of[g] = static_cast<VertexId>(gates.size());
+    gates.push_back(g);
+  }
+  Graph graph(static_cast<uint32_t>(gates.size()));
+  for (VertexId v = 0; v < gates.size(); ++v) {
+    const std::vector<GateId>& ins = bin.inputs(gates[v]);
+    for (size_t i = 0; i < ins.size(); ++i) {
+      graph.AddEdge(v, vertex_of[ins[i]]);
+      for (size_t j = i + 1; j < ins.size(); ++j) {
+        graph.AddEdge(vertex_of[ins[i]], vertex_of[ins[j]]);
+      }
+    }
+  }
+  return graph;
+}
+
+// The lineage of ExistsLabel(occupation) Or EveryBUnderA(occupation,
+// musician) over the tree-automaton benchmark's document: a primal graph
+// on which min-degree comes out wider than plan Build accepts, so Build
+// falls back to min-fill.
+Graph FallbackLineageGraph() {
+  Rng doc_rng(6);
+  const PrXmlDocument doc = workloads::MakeWikidataPrxml(doc_rng, 48, 1);
+  XmlLabelMap labels;
+  Label dead;
+  UncertainBinaryTree tree = PrXmlToUncertainTree(doc, labels, &dead);
+  const Label alphabet = tree.AlphabetSize();
+  const Label occupation = labels.Find("occupation");
+  TreeQuerySession session(std::move(tree), doc.events(),
+                           std::make_unique<JunctionTreeEngine>());
+  const GateId root = session.Lineage(
+      AutomatonExpr::Atom(MakeExistsLabel(alphabet, occupation)) ||
+      AutomatonExpr::Atom(MakeEveryBUnderA(alphabet, occupation,
+                                           labels.Find("musician"))));
+  return LineagePrimalGraph(session.tree().circuit(), root);
 }
 
 TEST(EliminationTest, OrdersArePermutations) {
@@ -138,6 +292,69 @@ TEST(EliminationTest, ReportedWidthAndCostMatchDerivedDecomposition) {
       }
       EXPECT_EQ(elimination.table_cost, cost) << name;
     }
+  }
+}
+
+// Incrementally kept fill counts pick the same vertex at every step as
+// recounting every fill from scratch.
+TEST(EliminationTest, MinFillMatchesRecomputeReference) {
+  std::vector<std::pair<std::string, Graph>> graphs = {
+      {"grid/6x7", GridGraph(6, 7)},
+      {"grid/3x12", GridGraph(3, 12)},
+      {"star/30", StarGraph(30)},
+  };
+  for (uint64_t seed = 0; seed < 6; ++seed) {
+    const std::string tag = "/" + std::to_string(seed);
+    graphs.emplace_back("random" + tag, RandomGraph(40, 0.12, seed));
+    graphs.emplace_back("ktree3" + tag, PartialKTree(90, 3, seed));
+    graphs.emplace_back("ktree8" + tag, PartialKTree(90, 8, seed + 50));
+  }
+  for (const auto& [name, g] : graphs) {
+    EXPECT_EQ(MinFillOrder(g).order, ReferenceMinFillOrder(g)) << name;
+  }
+  // Every fill starts past the cap: ties at the cap are broken by degree.
+  const Graph dense = RandomGraph(100, 0.5, 3);
+  int capped_picks = 0;
+  EXPECT_EQ(MinFillOrder(dense).order,
+            ReferenceMinFillOrder(dense, &capped_picks));
+  EXPECT_GT(capped_picks, 0);
+}
+
+// Orders, widths and table costs pinned to the values of the earlier
+// bitset-based elimination graph. "families" folds every family of
+// GraphFamilies() into one digest.
+TEST(EliminationTest, GoldenOrderDigests) {
+  struct Golden {
+    const char* name;
+    uint64_t min_fill, peeled_min_fill, min_degree;
+  };
+  constexpr Golden kGolden[] = {
+      {"families", 5392869403631291699ull, 16646802400829584035ull,
+       10361786962865091965ull},
+      {"ktree8/2048", 7852805284816834914ull, 7852805284816834914ull,
+       17706551232240498758ull},
+      {"fallback-lineage", 13254728979698790879ull, 14510443759177745239ull,
+       16882269028385215303ull},
+  };
+  std::vector<Graph> families;
+  for (auto& [name, g] : GraphFamilies()) families.push_back(std::move(g));
+  const std::vector<Graph> ktree = {PartialKTree(2048, 8, 1)};
+  const Graph lineage = FallbackLineageGraph();
+  EXPECT_GT(MinDegreeOrder(lineage).width, 10u);
+  const std::vector<Graph> fallback = {lineage};
+  const std::vector<Graph>* inputs[] = {&families, &ktree, &fallback};
+  for (size_t i = 0; i < std::size(kGolden); ++i) {
+    uint64_t digests[3];
+    for (size_t h = 0; h < 3; ++h) {
+      uint64_t folded = 0;
+      for (const Graph& g : *inputs[i]) {
+        folded = folded * 1099511628211ull ^ Digest(kHeuristics[h](g));
+      }
+      digests[h] = folded;
+    }
+    EXPECT_EQ(digests[0], kGolden[i].min_fill) << kGolden[i].name;
+    EXPECT_EQ(digests[1], kGolden[i].peeled_min_fill) << kGolden[i].name;
+    EXPECT_EQ(digests[2], kGolden[i].min_degree) << kGolden[i].name;
   }
 }
 
@@ -247,6 +464,14 @@ TEST(TreeDecompositionTest, FindBagContaining) {
       TreeDecomposition::FromEliminationOrder(g, MinFillOrder(g).order);
   EXPECT_NE(td.FindBagContaining({2, 3}), kInvalidBag);
   EXPECT_EQ(td.FindBagContaining({0, 4}), kInvalidBag);
+}
+
+TEST(TreeDecompositionDeathTest, EliminationOrderMustBePermutation) {
+  const Graph g = PathGraph(4);
+  EXPECT_DEATH(TreeDecomposition::FromEliminationOrder(g, {0, 1, 1, 3}),
+               "appears twice");
+  EXPECT_DEATH(TreeDecomposition::FromEliminationOrder(g, {0, 1, 2, 4}),
+               "names vertex 4");
 }
 
 TEST(TreeDecompositionTest, InvalidDecompositionDetected) {

@@ -523,6 +523,11 @@ JunctionTreePlan JunctionTreePlan::BuildImpl(JunctionTreeAnalysis a,
 // Execute kernels
 // ---------------------------------------------------------------------------
 
+// The per-bag kernels of the upward and delta passes start on a 64-byte
+// boundary, so their speed does not depend on where the linker happens
+// to place them after a size change elsewhere in the binary.
+
+[[gnu::aligned(64)]]
 void JunctionTreePlan::ComputeBagTable(const Bag& bag, const double* vals,
                                        const double* arena,
                                        double* table) const {
@@ -559,6 +564,7 @@ void JunctionTreePlan::ComputeBagBase(const Bag& bag, const double* vals,
   }
 }
 
+[[gnu::aligned(64)]]
 void JunctionTreePlan::MarginalizeOut(const Bag& bag, const double* table,
                                       double* out) const {
   const size_t size = size_t{1} << bag.k;
@@ -649,6 +655,7 @@ EngineStatus JunctionTreePlan::ExecuteGoverned(const EventRegistry& registry,
   return UpwardPass(registry, evidence, arena, meter, value);
 }
 
+[[gnu::aligned(64)]]
 EngineStatus JunctionTreePlan::UpwardPass(const EventRegistry& registry,
                                           const Evidence& evidence,
                                           double* arena, BudgetMeter& meter,
@@ -673,6 +680,7 @@ EngineStatus JunctionTreePlan::UpwardPass(const EventRegistry& registry,
   return EngineStatus::kOk;
 }
 
+[[gnu::aligned(64)]]
 double JunctionTreePlan::UpStep(const Bag& bag, const double* vals,
                                 double* arena) const {
   double* table = arena + scratch_off_;
@@ -687,6 +695,7 @@ double JunctionTreePlan::UpStep(const Bag& bag, const double* vals,
   return total;
 }
 
+[[gnu::aligned(64)]]
 EngineStatus JunctionTreePlan::ExecuteDelta(
     const EventRegistry& registry, const Evidence& evidence,
     const std::vector<EventId>& dirty_events, PlanDeltaState& state,
@@ -953,6 +962,7 @@ void JunctionTreePlan::ApplyDown(const Bag& bag, const double* down,
   }
 }
 
+[[gnu::aligned(64)]]
 void JunctionTreePlan::MultiplyChild(const Bag& bag, const ChildEdge& edge,
                                      const double* arena,
                                      double* table) const {

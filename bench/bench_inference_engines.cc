@@ -8,14 +8,21 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cmath>
+#include <memory>
 #include <string>
 #include <vector>
 
+#include "automata/automaton_expr.h"
+#include "automata/automaton_library.h"
 #include "inference/engine.h"
 #include "inference/junction_tree.h"
+#include "prxml/to_uncertain_tree.h"
 #include "queries/conjunctive_query.h"
 #include "queries/lineage.h"
+#include "queries/query_session.h"
+#include "queries/reachability.h"
 #include "uncertain/c_instance.h"
 #include "uncertain/pcc_instance.h"
 #include "util/rng.h"
@@ -165,6 +172,75 @@ void BM_EngineAuto(benchmark::State& state) {
   state.counters["chosen_engine"] = choice;
 }
 BENCHMARK(BM_EngineAuto)->RangeMultiplier(2)->Range(16, 512);
+
+// Plan construction alone (JunctionTreeAnalysis + Build, no Execute) on
+// the lineages of the cold-query workloads: 8 seeded s-t reachability
+// lineages on ladder:48, built in turn, and one two-atom tree-automaton
+// lineage over a scoped-cie document whose min-degree order is wide
+// enough that Build takes the min-fill fallback.
+struct PlanBuildInput {
+  std::unique_ptr<PccInstance> pcc;
+  std::unique_ptr<TreeQuerySession> session;
+  const BoolCircuit* circuit = nullptr;
+  std::vector<GateId> roots;
+};
+
+PlanBuildInput LadderLineages() {
+  PlanBuildInput in;
+  in.pcc = std::make_unique<PccInstance>(PccInstance::FromCInstance(
+      workloads::MakeInstance(*workloads::ParseInstanceSpec("ladder:48"))
+          .ToPcInstance()));
+  const auto domain = static_cast<uint32_t>(in.pcc->instance().DomainSize());
+  Rng rng(19);
+  while (in.roots.size() < 8) {
+    const auto s = static_cast<Value>(rng.UniformInt(domain));
+    const auto t = static_cast<Value>(rng.UniformInt(domain));
+    const GateId root = ComputeReachabilityLineage(*in.pcc, 0, s, t);
+    if (in.pcc->circuit().kind(root) != GateKind::kConst) {
+      in.roots.push_back(root);
+    }
+  }
+  in.circuit = &in.pcc->circuit();
+  return in;
+}
+
+PlanBuildInput TreeAutomatonLineage() {
+  PlanBuildInput in;
+  Rng doc_rng(6);
+  const PrXmlDocument doc = workloads::MakeWikidataPrxml(doc_rng, 48, 1);
+  XmlLabelMap labels;
+  Label dead;
+  UncertainBinaryTree tree = PrXmlToUncertainTree(doc, labels, &dead);
+  const Label alphabet = tree.AlphabetSize();
+  const Label occupation = labels.Find("occupation");
+  in.session = std::make_unique<TreeQuerySession>(
+      std::move(tree), doc.events(), std::make_unique<JunctionTreeEngine>());
+  in.roots.push_back(in.session->Lineage(
+      AutomatonExpr::Atom(MakeExistsLabel(alphabet, occupation)) ||
+      AutomatonExpr::Atom(MakeEveryBUnderA(alphabet, occupation,
+                                           labels.Find("musician")))));
+  in.circuit = &in.session->tree().circuit();
+  return in;
+}
+
+void BM_PlanBuild(benchmark::State& state, PlanBuildInput (*make)()) {
+  const PlanBuildInput in = make();
+  size_t next = 0, bags = 0;
+  int width = 0;
+  for (auto _ : state) {
+    const JunctionTreePlan plan =
+        JunctionTreePlan::Build(*in.circuit, in.roots[next]);
+    next = (next + 1) % in.roots.size();
+    width = std::max(width, plan.width());
+    bags += plan.num_bags();
+    benchmark::DoNotOptimize(plan.total_cells());
+  }
+  state.counters["width"] = width;
+  state.counters["avg_bags"] = static_cast<double>(bags) /
+                               static_cast<double>(state.iterations());
+}
+BENCHMARK_CAPTURE(BM_PlanBuild, ladder48, &LadderLineages);
+BENCHMARK_CAPTURE(BM_PlanBuild, tree_automaton, &TreeAutomatonLineage);
 
 }  // namespace
 }  // namespace tud

@@ -15,11 +15,7 @@ namespace tud {
 namespace {
 
 Graph MakeGraph(Rng& rng, uint32_t n, uint32_t k) {
-  Graph g(n);
-  for (const auto& [a, b] : workloads::PartialKTreeEdges(rng, n, k, 0.9)) {
-    g.AddEdge(a, b);
-  }
-  return g;
+  return Graph::FromEdges(n, workloads::PartialKTreeEdges(rng, n, k, 0.9));
 }
 
 void BM_MinFillOrder(benchmark::State& state) {

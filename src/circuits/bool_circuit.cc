@@ -345,61 +345,6 @@ std::pair<BoolCircuit, GateId> BoolCircuit::ExtractCone(GateId root) const {
   return {std::move(out), remap[root]};
 }
 
-std::pair<BoolCircuit, std::vector<GateId>> BoolCircuit::ExtractCones(
-    const std::vector<GateId>& roots) const {
-  // Multi-source reachability, then one ascending copy pass: gates in
-  // the union of the cones are copied exactly once, so roots with
-  // overlapping cones share the copied structure.
-  std::vector<bool> seen(NumGates(), false);
-  std::vector<GateId> stack;
-  for (GateId root : roots) {
-    TUD_CHECK_LT(root, NumGates());
-    if (!seen[root]) {
-      seen[root] = true;
-      stack.push_back(root);
-    }
-  }
-  while (!stack.empty()) {
-    GateId g = stack.back();
-    stack.pop_back();
-    for (GateId in : inputs_[g]) {
-      if (!seen[in]) {
-        seen[in] = true;
-        stack.push_back(in);
-      }
-    }
-  }
-  BoolCircuit out;
-  std::vector<GateId> remap(NumGates(), kInvalidGate);
-  for (GateId g = 0; g < NumGates(); ++g) {
-    if (!seen[g]) continue;
-    switch (kinds_[g]) {
-      case GateKind::kConst:
-        remap[g] = out.AddConst(const_values_[g]);
-        break;
-      case GateKind::kVar:
-        remap[g] = out.AddVar(vars_[g]);
-        break;
-      case GateKind::kNot:
-        remap[g] = out.AddNot(remap[inputs_[g][0]]);
-        break;
-      case GateKind::kAnd:
-      case GateKind::kOr: {
-        std::vector<GateId> ins;
-        ins.reserve(inputs_[g].size());
-        for (GateId in : inputs_[g]) ins.push_back(remap[in]);
-        remap[g] = kinds_[g] == GateKind::kAnd ? out.AddAnd(std::move(ins))
-                                               : out.AddOr(std::move(ins));
-        break;
-      }
-    }
-  }
-  std::vector<GateId> out_roots;
-  out_roots.reserve(roots.size());
-  for (GateId root : roots) out_roots.push_back(remap[root]);
-  return {std::move(out), std::move(out_roots)};
-}
-
 GateId BoolCircuit::ImportCone(const BoolCircuit& source, GateId root,
                                std::vector<GateId>* cache) {
   TUD_CHECK(cache != nullptr);

@@ -117,14 +117,6 @@ class BoolCircuit {
   /// Returns the new circuit and the gate corresponding to `root`.
   std::pair<BoolCircuit, GateId> ExtractCone(GateId root) const;
 
-  /// Multi-root variant: copies the union of the cones of `roots` into a
-  /// fresh circuit, returning the circuit and the gate corresponding to
-  /// each root (shared structure is copied once). Used by batched
-  /// junction-tree plans, which answer a set of lineage roots over one
-  /// shared decomposition.
-  std::pair<BoolCircuit, std::vector<GateId>> ExtractCones(
-      const std::vector<GateId>& roots) const;
-
   /// Copies the cone of `root` in `source` into *this* circuit,
   /// returning the corresponding gate. `cache` memoises gates across
   /// calls (must be sized source.NumGates() and initialised to

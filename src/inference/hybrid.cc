@@ -59,8 +59,8 @@ std::vector<EventId> SelectCoreEvents(const BoolCircuit& circuit, GateId root,
     auto [bin, remap] = restricted.Binarize();
     GateId bin_root = remap[restricted_root];
     if (bin.kind(bin_root) == GateKind::kConst) break;
-    Graph graph(static_cast<uint32_t>(bin.NumGates()));
-    for (const auto& [a, b] : bin.PrimalEdges()) graph.AddEdge(a, b);
+    const Graph graph = Graph::FromEdges(
+        static_cast<uint32_t>(bin.NumGates()), bin.PrimalEdges());
     uint32_t width = MinFillOrder(graph).width;
     if (static_cast<int>(width) <= target_width) break;
     // Pin the variable with the highest current degree.

@@ -1,9 +1,11 @@
 #include "inference/junction_tree.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstring>
 #include <memory>
+#include <span>
 #include <stdexcept>
 
 #include "inference/index_steps.h"
@@ -21,9 +23,8 @@ constexpr double kNotTable[4] = {0, 1, 1, 0};
 constexpr double kAndTable[8] = {1, 0, 1, 0, 1, 0, 0, 1};
 constexpr double kOrTable[8] = {1, 0, 0, 1, 0, 1, 0, 1};
 constexpr double kTrueTable[2] = {0, 1};
-constexpr double kFalseTable[2] = {1, 0};
 
-size_t BitOf(const std::vector<VertexId>& bag, VertexId v) {
+size_t BitOf(std::span<const VertexId> bag, VertexId v) {
   auto it = std::lower_bound(bag.begin(), bag.end(), v);
   TUD_CHECK(it != bag.end() && *it == v);
   return static_cast<size_t>(it - bag.begin());
@@ -55,62 +56,157 @@ JunctionTreeAnalysis JunctionTreeAnalysis::Analyze(const BoolCircuit& circuit,
   return AnalyzeBatch(circuit, std::vector<GateId>{root});
 }
 
+namespace {
+
+// Open addressing with linear probing from 64-bit keys to 32-bit values,
+// doubling at half load.
+class FlatMap {
+ public:
+  explicit FlatMap(size_t expected)
+      : slots_(std::bit_ceil(2 * expected + 2), Slot{kEmpty, 0}) {}
+
+  // The value slot of `key`, holding `value` if the key was absent, and
+  // whether it was.
+  std::pair<uint32_t*, bool> Insert(uint64_t key, uint32_t value) {
+    if (2 * (size_ + 1) > slots_.size()) {
+      std::vector<Slot> old(2 * slots_.size(), Slot{kEmpty, 0});
+      old.swap(slots_);
+      size_ = 0;
+      for (const Slot& slot : old) {
+        if (slot.key != kEmpty) Insert(slot.key, slot.value);
+      }
+    }
+    const size_t mask = slots_.size() - 1;
+    size_t i = static_cast<size_t>(key * 0x9e3779b97f4a7c15ull >> 32) & mask;
+    for (; slots_[i].key != kEmpty; i = (i + 1) & mask) {
+      if (slots_[i].key == key) return {&slots_[i].value, false};
+    }
+    slots_[i] = {key, value};
+    ++size_;
+    return {&slots_[i].value, true};
+  }
+
+ private:
+  static constexpr uint64_t kEmpty = ~uint64_t{0};
+  struct Slot {
+    uint64_t key;
+    uint32_t value;
+  };
+  std::vector<Slot> slots_;
+  size_t size_ = 0;
+};
+
+}  // namespace
+
 JunctionTreeAnalysis JunctionTreeAnalysis::AnalyzeBatch(
     const BoolCircuit& circuit, const std::vector<GateId>& roots) {
   TUD_CHECK(!roots.empty());
   JunctionTreeAnalysis a;
 
-  // Work on the binarised union cone of the roots.
-  auto [cone, cone_roots] = circuit.ExtractCones(roots);
-  auto [bin, remap] = cone.Binarize();
-  a.roots_.reserve(roots.size());
-  for (GateId r : cone_roots) a.roots_.push_back(remap[r]);
-
-  // Dense vertex ids for the gates reachable from any non-constant
-  // root (binarisation folds constants, which can orphan gates).
-  std::vector<bool> seen(bin.NumGates(), false);
-  std::vector<GateId> stack;
-  for (GateId r : a.roots_) {
-    if (bin.kind(r) == GateKind::kConst) continue;
-    if (!seen[r]) {
-      seen[r] = true;
-      stack.push_back(r);
+  // The union cone of the roots, ascending: a topological order, since
+  // inputs predate the gates that read them. `table` maps each cone gate
+  // (key: its id) to its binarised vertex (kFalseRoot / kTrueRoot for
+  // constants) once that is known, and each binarised Not and two-input
+  // gate (key: kind and inputs) to its vertex.
+  FlatMap table(1024 + roots.size());
+  auto vertex_of = [&](GateId g) { return table.Insert(g, 0).first; };
+  std::vector<GateId> cone;
+  size_t max_gates = 0;  // Bound on the binarised gates.
+  for (GateId root : roots) {
+    TUD_CHECK_LT(root, circuit.NumGates());
+    if (table.Insert(root, 0).second) cone.push_back(root);
+  }
+  for (size_t next = 0; next < cone.size(); ++next) {
+    const std::vector<GateId>& ins = circuit.inputs(cone[next]);
+    max_gates += std::max<size_t>(ins.size(), 2) - 1;
+    for (GateId in : ins) {
+      if (table.Insert(in, 0).second) cone.push_back(in);
     }
   }
-  while (!stack.empty()) {
-    GateId g = stack.back();
-    stack.pop_back();
-    for (GateId in : bin.inputs(g)) {
-      if (!seen[in]) {
-        seen[in] = true;
-        stack.push_back(in);
+  std::sort(cone.begin(), cone.end());
+  TUD_CHECK_LT(max_gates, size_t{1} << 30) << "cone too large to analyse";
+
+  // Binarise in gate order with the folding and hash-consing of
+  // BoolCircuit: balanced pairing of And/Or inputs, constants folded,
+  // double negations and repeated inputs dropped, and structurally equal
+  // Not and two-input gates shared. Every gate created here is read by
+  // a root, and constants never become vertices, so the vertices are
+  // numbered in creation order.
+  a.gates_.reserve(max_gates);
+  auto is_const = [](VertexId v) { return v >= kFalseRoot; };
+  auto make = [&](GateKind kind, VertexId x, VertexId y) {
+    const uint64_t key = uint64_t{static_cast<uint8_t>(kind)} << 60 |
+                         uint64_t{x} << 30 | y;
+    const auto [slot, added] =
+        table.Insert(key, static_cast<uint32_t>(a.gates_.size()));
+    if (added) a.gates_.push_back(Gate{kind, kInvalidEvent, {x, y}});
+    return *slot;
+  };
+  auto make_not = [&](VertexId x) {
+    if (is_const(x)) return x == kTrueRoot ? kFalseRoot : kTrueRoot;
+    if (a.gates_[x].kind == GateKind::kNot) return a.gates_[x].inputs[0];
+    return make(GateKind::kNot, x, 0);
+  };
+  auto make_binary = [&](GateKind kind, VertexId x, VertexId y) {
+    const VertexId neutral = kind == GateKind::kAnd ? kTrueRoot : kFalseRoot;
+    if (is_const(x) && x != neutral) return x;
+    if (is_const(y) && y != neutral) return y;
+    if (x == neutral || x == y) return y;
+    if (y == neutral) return x;
+    return make(kind, std::min(x, y), std::max(x, y));
+  };
+  std::vector<VertexId> level;
+  for (const GateId g : cone) {
+    VertexId v = 0;
+    switch (circuit.kind(g)) {
+      case GateKind::kConst:
+        v = circuit.const_value(g) ? kTrueRoot : kFalseRoot;
+        break;
+      case GateKind::kVar:
+        v = static_cast<VertexId>(a.gates_.size());
+        a.gates_.push_back(Gate{GateKind::kVar, circuit.var(g), {0, 0}});
+        break;
+      case GateKind::kNot:
+        v = make_not(*vertex_of(circuit.inputs(g)[0]));
+        break;
+      case GateKind::kAnd:
+      case GateKind::kOr: {
+        const GateKind kind = circuit.kind(g);
+        level.clear();
+        for (GateId in : circuit.inputs(g)) level.push_back(*vertex_of(in));
+        while (level.size() > 1) {
+          const size_t half = level.size() / 2;
+          for (size_t i = 0; i < half; ++i) {
+            level[i] = make_binary(kind, level[2 * i], level[2 * i + 1]);
+          }
+          if (level.size() % 2 == 1) level[half] = level.back();
+          level.resize(level.size() - half);
+        }
+        v = level.empty()
+                ? (kind == GateKind::kAnd ? kTrueRoot : kFalseRoot)
+                : level[0];
+        break;
       }
     }
+    *vertex_of(g) = v;
   }
-  a.vertex_of_.assign(bin.NumGates(), UINT32_MAX);
-  for (GateId g = 0; g < bin.NumGates(); ++g) {
-    if (seen[g]) {
-      a.vertex_of_[g] = static_cast<VertexId>(a.gates_.size());
-      a.gates_.push_back(g);
-    }
-  }
+  a.roots_.reserve(roots.size());
+  for (GateId r : roots) a.roots_.push_back(*vertex_of(r));
 
   // Primal graph: a clique per gate scope ({gate} and its inputs) —
   // identical to the cliques of the factor scopes the plan assigns to
   // bags (the root-indicator factor is unary and adds no edges).
-  a.graph_ = Graph(static_cast<uint32_t>(a.gates_.size()));
+  std::vector<std::pair<VertexId, VertexId>> edges;
+  edges.reserve(3 * a.gates_.size());
   for (VertexId v = 0; v < a.gates_.size(); ++v) {
-    const GateId g = a.gates_[v];
-    const std::vector<GateId>& ins = bin.inputs(g);
-    for (size_t i = 0; i < ins.size(); ++i) {
-      const VertexId vi = a.vertex_of_[ins[i]];
-      a.graph_.AddEdge(v, vi);
-      for (size_t j = i + 1; j < ins.size(); ++j) {
-        a.graph_.AddEdge(vi, a.vertex_of_[ins[j]]);
-      }
-    }
+    const Gate& gate = a.gates_[v];
+    if (gate.kind == GateKind::kVar) continue;
+    edges.emplace_back(v, gate.inputs[0]);
+    if (gate.kind == GateKind::kNot) continue;
+    edges.emplace_back(v, gate.inputs[1]);
+    edges.emplace_back(gate.inputs[0], gate.inputs[1]);
   }
-  a.bin_ = std::move(bin);
+  a.graph_ = Graph::FromEdges(static_cast<uint32_t>(a.gates_.size()), edges);
   return a;
 }
 
@@ -160,21 +256,21 @@ JunctionTreePlan JunctionTreePlan::BuildImpl(JunctionTreeAnalysis a,
                                              const QueryBudget& budget) {
   JunctionTreePlan plan;
   plan.batch_ = batch;
-  const BoolCircuit& bin = a.bin_;
 
   if (batch) {
     plan.query_roots_.resize(a.roots_.size());
     for (size_t i = 0; i < a.roots_.size(); ++i) {
-      if (bin.kind(a.roots_[i]) == GateKind::kConst) {
+      if (a.roots_[i] >= JunctionTreeAnalysis::kFalseRoot) {
         plan.query_roots_[i].trivial_value =
-            bin.const_value(a.roots_[i]) ? 1 : 0;
+            a.roots_[i] == JunctionTreeAnalysis::kTrueRoot ? 1 : 0;
       }
     }
   }
   if (a.trivial()) {
     plan.trivial_ = true;
     if (!batch) {
-      plan.trivial_value_ = bin.const_value(a.roots_[0]) ? 1.0 : 0.0;
+      plan.trivial_value_ =
+          a.roots_[0] == JunctionTreeAnalysis::kTrueRoot ? 1.0 : 0.0;
       plan.num_gates_ = 1;
     }
     return plan;
@@ -183,53 +279,44 @@ JunctionTreePlan JunctionTreePlan::BuildImpl(JunctionTreeAnalysis a,
   const uint32_t n = static_cast<uint32_t>(a.gates_.size());
   plan.num_gates_ = n;
 
-  // 1. Factors: one per gate, plus (single-root plans) the root-is-true
-  // evidence indicator. Scope bit 0 is the gate output, bits 1.. its
-  // inputs.
+  // 1. Factors: one per gate (factor v is the gate of vertex v), plus
+  // (single-root plans) the root-is-true evidence indicator. Scope bit 0
+  // is the gate output, bits 1.. its inputs.
   struct TmpFactor {
     const double* table;  ///< Static gate table; nullptr = variable.
     EventId event;        ///< Variable factors only.
-    std::vector<VertexId> scope;
+    uint32_t size;        ///< Scope size, 1 to 3.
+    VertexId scope[3];
   };
-  std::vector<TmpFactor> factors;
-  factors.reserve(n + 1);
+  std::vector<TmpFactor> factors(n + (batch ? 0 : 1));
   for (VertexId v = 0; v < n; ++v) {
-    const GateId g = a.gates_[v];
-    TmpFactor f{nullptr, 0, {v}};
-    switch (bin.kind(g)) {
-      case GateKind::kConst:
-        f.table = bin.const_value(g) ? kTrueTable : kFalseTable;
-        break;
+    const JunctionTreeAnalysis::Gate& gate = a.gates_[v];
+    TmpFactor& f = factors[v];
+    f = {nullptr, gate.event, 1, {v, gate.inputs[0], gate.inputs[1]}};
+    switch (gate.kind) {
       case GateKind::kVar:
-        f.event = bin.var(g);
         break;
       case GateKind::kNot:
-        TUD_CHECK_EQ(bin.inputs(g).size(), 1u);
-        f.scope.push_back(a.vertex_of_[bin.inputs(g)[0]]);
         f.table = kNotTable;
+        f.size = 2;
         break;
       case GateKind::kAnd:
       case GateKind::kOr:
-        TUD_CHECK_EQ(bin.inputs(g).size(), 2u)
-            << "gate fan-in must be binarised first";
-        for (GateId in : bin.inputs(g)) {
-          f.scope.push_back(a.vertex_of_[in]);
-        }
-        f.table = bin.kind(g) == GateKind::kAnd ? kAndTable : kOrTable;
+        f.table = gate.kind == GateKind::kAnd ? kAndTable : kOrTable;
+        f.size = 3;
         break;
+      case GateKind::kConst:
+        TUD_CHECK(false) << "constants are folded out of the analysis";
     }
-    factors.push_back(std::move(f));
   }
-  if (!batch) {
-    factors.push_back(TmpFactor{kTrueTable, 0, {a.vertex_of_[a.roots_[0]]}});
-  }
+  if (!batch) factors[n] = {kTrueTable, 0, 1, {a.roots_[0], 0, 0}};
 
   // 2. Tree decomposition: the analysis's O(1)-per-operation bucket
   // min-degree order — on circuit primal graphs it matches min-fill's
   // width at a fraction of the cost — and only when that comes out wide
   // (where an extra unit of width doubles every message table) pay for
-  // min-fill and keep the narrower. Both report their widths from the
-  // elimination pass, so only the winner is turned into a decomposition.
+  // min-fill and keep the narrower. Both record their bags in the
+  // elimination pass, so the winner's decomposition is read off them.
   constexpr uint32_t kAcceptWidth = 10;
   a.MinDegreeWidth();  // Ensures the cached min-degree order.
   EliminationOrder elimination = std::move(*a.min_degree_);
@@ -237,12 +324,11 @@ JunctionTreePlan JunctionTreePlan::BuildImpl(JunctionTreeAnalysis a,
     EliminationOrder fill = PeeledMinFillOrder(a.graph_);
     if (fill.width < elimination.width) elimination = std::move(fill);
   }
-  const std::vector<VertexId>& order = elimination.order;
   std::vector<BagId> bag_of_vertex;
   TreeDecomposition td =
-      TreeDecomposition::FromEliminationOrder(a.graph_, order, &bag_of_vertex);
+      TreeDecomposition::FromElimination(elimination, &bag_of_vertex);
   std::vector<uint32_t> position(n);
-  for (uint32_t i = 0; i < n; ++i) position[order[i]] = i;
+  for (uint32_t i = 0; i < n; ++i) position[elimination.order[i]] = i;
   plan.width_ = td.Width();
 
   // Admission: everything below lowers the decomposition into 2^|bag|
@@ -270,17 +356,31 @@ JunctionTreePlan JunctionTreePlan::BuildImpl(JunctionTreeAnalysis a,
 
   // 3. Assign each factor to the bag of the earliest-eliminated vertex
   // of its scope (that bag contains the whole scope: the scope is a
-  // clique).
+  // clique). The factors of bag b, ascending, are
+  // bag_factors[factor_begin[b] .. factor_begin[b + 1]).
   const size_t num_bags = td.NumBags();
-  std::vector<std::vector<uint32_t>> bag_factors(num_bags);
+  std::vector<uint32_t> factor_bag(factors.size());
+  std::vector<uint32_t> factor_begin(num_bags + 2, 0);
   for (uint32_t fi = 0; fi < factors.size(); ++fi) {
-    const std::vector<VertexId>& scope = factors[fi].scope;
-    VertexId earliest = scope[0];
-    for (VertexId v : scope) {
-      if (position[v] < position[earliest]) earliest = v;
+    const TmpFactor& f = factors[fi];
+    VertexId earliest = f.scope[0];
+    for (uint32_t i = 1; i < f.size; ++i) {
+      if (position[f.scope[i]] < position[earliest]) earliest = f.scope[i];
     }
-    bag_factors[bag_of_vertex[earliest]].push_back(fi);
+    factor_bag[fi] = bag_of_vertex[earliest];
+    ++factor_begin[factor_bag[fi] + 2];
   }
+  for (size_t b = 2; b < num_bags + 2; ++b) {
+    factor_begin[b] += factor_begin[b - 1];
+  }
+  std::vector<uint32_t> bag_factors(factors.size());
+  for (uint32_t fi = 0; fi < factors.size(); ++fi) {
+    bag_factors[factor_begin[factor_bag[fi] + 1]++] = fi;
+  }
+  auto factors_of = [&](BagId b) {
+    return std::span<const uint32_t>(bag_factors.data() + factor_begin[b],
+                                     bag_factors.data() + factor_begin[b + 1]);
+  };
 
   // Decompositions from elimination orders have one bag per vertex, and
   // the separator towards the parent is exactly bag(v) \ {v}; knowing
@@ -305,12 +405,12 @@ JunctionTreePlan JunctionTreePlan::BuildImpl(JunctionTreeAnalysis a,
     const size_t k = td.bag(b).size();
     const size_t cells = size_t{1} << k;
     const bool is_root = td.parent(b) == kInvalidBag;
-    for (uint32_t fi : bag_factors[b]) {
+    for (uint32_t fi : factors_of(b)) {
       if (factors[fi].table == nullptr) {
         ++num_var_factors;
       } else if (static_cast<int>(k) > g_fuse_max_k) {
         ++num_static_factors;
-        pool_bits += factors[fi].scope.size();
+        pool_bits += factors[fi].size;
       }
     }
     if (static_cast<int>(k) <= g_fuse_max_k) static_cells += cells;
@@ -352,7 +452,7 @@ JunctionTreePlan JunctionTreePlan::BuildImpl(JunctionTreeAnalysis a,
   plan.bags_.assign(num_bags, Bag{});
   for (BagId b = 0; b < num_bags; ++b) {
     Bag& bag = plan.bags_[b];
-    const std::vector<VertexId>& members = td.bag(b);
+    const std::span<const VertexId> members = td.bag(b);
     bag.k = static_cast<uint8_t>(members.size());
     bag.is_root = td.parent(b) == kInvalidBag;
     plan.max_k_ = std::max<uint32_t>(plan.max_k_, bag.k);
@@ -372,7 +472,7 @@ JunctionTreePlan JunctionTreePlan::BuildImpl(JunctionTreeAnalysis a,
       bag.sfac_begin = static_cast<uint32_t>(plan.static_factors_.size());
     }
     bag.var_begin = static_cast<uint32_t>(plan.var_factors_.size());
-    for (uint32_t fi : bag_factors[b]) {
+    for (uint32_t fi : factors_of(b)) {
       const TmpFactor& f = factors[fi];
       if (f.table == nullptr) {
         plan.var_factors_.push_back(VarFactor{
@@ -383,21 +483,20 @@ JunctionTreePlan JunctionTreePlan::BuildImpl(JunctionTreeAnalysis a,
         continue;
       }
       uint8_t local[3];  // Gate scopes: output plus at most two inputs.
-      TUD_CHECK_LE(f.scope.size(), 3u);
       uint8_t* bits = fuse ? local : plan.bit_pool_.data() + pool_next;
-      for (size_t i = 0; i < f.scope.size(); ++i) {
+      for (size_t i = 0; i < f.size; ++i) {
         bits[i] = static_cast<uint8_t>(BitOf(members, f.scope[i]));
       }
       if (fuse) {
         const double* table = f.table;
-        IndexSteps(bits, f.scope.size())
+        IndexSteps(bits, f.size)
             .ForEach(size, [st, table](size_t idx, uint32_t fidx) {
               st[idx] *= table[fidx];
             });
       } else {
-        plan.static_factors_.push_back(StaticFactor{
-            f.table, pool_next, static_cast<uint32_t>(f.scope.size())});
-        pool_next += static_cast<uint32_t>(f.scope.size());
+        plan.static_factors_.push_back(
+            StaticFactor{f.table, pool_next, f.size});
+        pool_next += f.size;
       }
     }
     bag.var_end = static_cast<uint32_t>(plan.var_factors_.size());
@@ -463,7 +562,7 @@ JunctionTreePlan JunctionTreePlan::BuildImpl(JunctionTreeAnalysis a,
     for (size_t i = 0; i < a.roots_.size(); ++i) {
       QueryRoot& qr = plan.query_roots_[i];
       if (qr.trivial_value >= 0) continue;
-      const VertexId v = a.vertex_of_[a.roots_[i]];
+      const VertexId v = a.roots_[i];
       qr.bag = bag_of_vertex[v];
       qr.bit = static_cast<uint32_t>(BitOf(td.bag(qr.bag), v));
       is_query_bag[qr.bag] = true;

@@ -75,16 +75,19 @@ struct PlanDeltaState {
   void Reset() { *this = PlanDeltaState{}; }
 };
 
-/// The query-shape analysis every junction-tree plan starts from:
-/// extract the cone of the root(s), binarise it, build the primal graph
-/// of the factor scopes, and (on demand) compute the min-degree
-/// elimination order and its width. Split out of JunctionTreePlan::Build
-/// so the AutoEngine planner, whose escalation decision *is* the
-/// min-degree width estimate, can hand the analysis to the engine it
-/// selects instead of the engine redoing the cone/graph/order work —
-/// `auto` then costs the same as a direct engine pick, and the handed-off
-/// decomposition is bit-identical to the one the engine would compute
-/// (same code path).
+/// The query-shape analysis every junction-tree plan starts from, in
+/// one pass over the roots' cone in the source circuit: collect the
+/// cone, binarise it into per-vertex arrays (kind, event, at most two
+/// input vertices; vertices numbered in creation order), build the
+/// primal graph of the factor scopes as a CSR Graph, and (on demand)
+/// compute the min-degree elimination order with its bags and width.
+/// The pass costs O(cone), not O(circuit). Split out of
+/// JunctionTreePlan::Build so the AutoEngine planner, whose escalation
+/// decision *is* the min-degree width estimate, can hand the analysis to
+/// the engine it selects instead of the engine redoing the
+/// cone/graph/order work — `auto` then costs the same as a direct
+/// engine pick, and the handed-off decomposition is bit-identical to the
+/// one the engine would compute (same code path).
 class JunctionTreeAnalysis {
  public:
   /// Analyses the cone of a single root.
@@ -122,13 +125,22 @@ class JunctionTreeAnalysis {
  private:
   friend class JunctionTreePlan;
 
-  JunctionTreeAnalysis() : graph_(0) {}
+  /// A gate of the binarised cone, i.e. a vertex of the primal graph.
+  struct Gate {
+    GateKind kind;        ///< kVar, kNot, kAnd or kOr.
+    EventId event;        ///< kVar only.
+    VertexId inputs[2];   ///< kNot: inputs[0]; kAnd/kOr: both.
+  };
+  /// What a root that folds to a constant is recorded as in roots_.
+  static constexpr VertexId kFalseRoot = UINT32_MAX - 1;
+  static constexpr VertexId kTrueRoot = UINT32_MAX;
 
-  BoolCircuit bin_;                  ///< Binarised (union) cone.
-  std::vector<GateId> roots_;       ///< Roots in bin_ ids, input order.
-  std::vector<GateId> gates_;       ///< Dense vertex -> bin_ gate.
-  std::vector<VertexId> vertex_of_;  ///< bin_ gate -> dense vertex.
-  Graph graph_;                      ///< Primal graph of the factor scopes.
+  JunctionTreeAnalysis() = default;
+
+  std::vector<VertexId> roots_;  ///< Root vertices (or kFalseRoot /
+                                 ///< kTrueRoot), input order.
+  std::vector<Gate> gates_;      ///< Vertex -> binarised gate.
+  Graph graph_;                  ///< Primal graph of the factor scopes.
   std::optional<EliminationOrder> min_degree_;  ///< Cached on first probe.
 };
 

@@ -229,26 +229,23 @@ GateId ComputeCqLineageOnDecomposition(
   return circuit.AddOr(std::move(accepting));
 }
 
-DecomposedInstance DecomposeInstance(const Instance& instance) {
-  const uint32_t n = static_cast<uint32_t>(instance.DomainSize());
-  Graph gaifman(n);
-  for (const auto& [a, b] : instance.GaifmanEdges()) gaifman.AddEdge(a, b);
-  return DecomposeInstanceWithOrder(instance, MinFillOrder(gaifman).order);
+namespace {
+
+Graph GaifmanGraph(const Instance& instance) {
+  return Graph::FromEdges(static_cast<uint32_t>(instance.DomainSize()),
+                          instance.GaifmanEdges());
 }
 
-DecomposedInstance DecomposeInstanceWithOrder(const Instance& instance,
-                                              std::vector<VertexId> order) {
+// The nice decomposition an elimination of the instance's Gaifman graph
+// derives, with every fact assigned to a node whose bag covers it.
+DecomposedInstance DecomposeByElimination(const Instance& instance,
+                                          EliminationOrder elimination) {
   const uint32_t n = static_cast<uint32_t>(instance.DomainSize());
-  TUD_CHECK_EQ(order.size(), size_t{n})
-      << "elimination order must cover the instance domain";
-  Graph gaifman(n);
-  for (const auto& [a, b] : instance.GaifmanEdges()) gaifman.AddEdge(a, b);
-
   std::vector<uint32_t> position(n);
-  for (uint32_t i = 0; i < n; ++i) position[order[i]] = i;
+  for (uint32_t i = 0; i < n; ++i) position[elimination.order[i]] = i;
   std::vector<BagId> bag_of_vertex;
   TreeDecomposition td =
-      TreeDecomposition::FromEliminationOrder(gaifman, order, &bag_of_vertex);
+      TreeDecomposition::FromElimination(elimination, &bag_of_vertex);
 
   DecomposedInstance result;
   std::vector<NiceNodeId> top_of_bag;
@@ -272,8 +269,22 @@ DecomposedInstance DecomposeInstanceWithOrder(const Instance& instance,
     }
     result.facts_at_node[node].push_back(f);
   }
-  result.elimination_order = std::move(order);
+  result.elimination_order = std::move(elimination.order);
   return result;
+}
+
+}  // namespace
+
+DecomposedInstance DecomposeInstance(const Instance& instance) {
+  return DecomposeByElimination(instance, MinFillOrder(GaifmanGraph(instance)));
+}
+
+DecomposedInstance DecomposeInstanceWithOrder(const Instance& instance,
+                                              std::vector<VertexId> order) {
+  TUD_CHECK_EQ(order.size(), instance.DomainSize())
+      << "elimination order must cover the instance domain";
+  return DecomposeByElimination(
+      instance, EliminateInOrder(GaifmanGraph(instance), order));
 }
 
 GateId ComputeCqLineage(const ConjunctiveQuery& query, PccInstance& pcc,

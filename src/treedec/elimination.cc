@@ -4,6 +4,7 @@
 #include <bit>
 #include <limits>
 #include <queue>
+#include <span>
 #include <tuple>
 #include <utility>
 #include <vector>
@@ -33,7 +34,7 @@ class EliminationGraph {
     // outgrow their slots.
     pool_.reserve(4 * graph.NumEdges());
     for (VertexId v = 0; v < graph.NumVertices(); ++v) {
-      const auto& nbrs = graph.Neighbors(v);
+      const std::span<const VertexId> nbrs = graph.Neighbors(v);
       degree_[v] = static_cast<uint32_t>(nbrs.size());
       list_[v] = {static_cast<uint32_t>(pool_.size()), degree_[v],
                   degree_[v]};
@@ -245,13 +246,20 @@ class EliminationGraph {
   std::vector<std::pair<VertexId, VertexId>> missing_;
 };
 
-// Appends v to the order, folding its elimination degree (its bag is v
-// plus its current filled neighborhood) into the width and table cost.
-void Record(EliminationOrder& out, VertexId v, uint32_t degree) {
+// Eliminates v and appends it and its ring to the order, folding its
+// elimination degree (its bag is v plus the ring) into the width and
+// table cost. Returns the ring.
+const std::vector<VertexId>& Record(EliminationOrder& out,
+                                    EliminationGraph& work, VertexId v) {
+  const std::vector<VertexId>& ring = work.Eliminate(v);
+  const uint32_t degree = static_cast<uint32_t>(ring.size());
   out.order.push_back(v);
+  out.rings.insert(out.rings.end(), ring.begin(), ring.end());
+  out.ring_begin.push_back(static_cast<uint32_t>(out.rings.size()));
   out.width = std::max(out.width, degree);
   const uint32_t bits = std::min(degree + 1, kEliminationCostCapBits);
   out.table_cost += static_cast<double>(uint64_t{1} << bits);
+  return ring;
 }
 
 EliminationOrder GreedyMinFillOrder(const Graph& graph, bool peel) {
@@ -288,8 +296,7 @@ EliminationOrder GreedyMinFillOrder(const Graph& graph, bool peel) {
         two_stack.pop_back();
         if (!work.alive(v) || work.Degree(v) != 2) continue;
       }
-      Record(out, v, work.Degree(v));
-      for (VertexId u : work.Eliminate(v)) {
+      for (VertexId u : Record(out, work, v)) {
         if (work.Degree(u) <= 1) {
           low_stack.push_back(u);
         } else if (work.Degree(u) == 2) {
@@ -322,14 +329,29 @@ EliminationOrder GreedyMinFillOrder(const Graph& graph, bool peel) {
     heap.pop();
     const VertexId v = std::get<2>(top);
     if (!work.alive(v) || top != score(v)) continue;
-    Record(out, v, work.Degree(v));
-    work.Eliminate(v);
+    Record(out, work, v);
     for (VertexId u : work.changed()) heap.push(score(u));
   }
   return out;
 }
 
 }  // namespace
+
+EliminationOrder EliminateInOrder(const Graph& graph,
+                                  const std::vector<VertexId>& order) {
+  const uint32_t n = graph.NumVertices();
+  TUD_CHECK_EQ(order.size(), n);
+  EliminationGraph work(graph);
+  EliminationOrder out;
+  out.order.reserve(n);
+  for (const VertexId v : order) {
+    TUD_CHECK_LT(v, n) << "elimination order names vertex " << v;
+    TUD_CHECK(work.alive(v))
+        << "vertex " << v << " appears twice in the elimination order";
+    Record(out, work, v);
+  }
+  return out;
+}
 
 EliminationOrder MinFillOrder(const Graph& graph) {
   return GreedyMinFillOrder(graph, /*peel=*/false);
@@ -364,8 +386,7 @@ EliminationOrder MinDegreeOrder(const Graph& graph) {
     const VertexId v = buckets[d].back();
     buckets[d].pop_back();
     if (!work.alive(v) || work.Degree(v) != d) continue;  // Stale entry.
-    Record(out, v, d);
-    for (VertexId u : work.Eliminate(v)) {
+    for (VertexId u : Record(out, work, v)) {
       const uint32_t du = work.Degree(u);
       bucket_push(u, du);
       if (du < d) d = du;

@@ -3,43 +3,49 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "treedec/graph.h"
 
 namespace tud {
 
-/// Heuristics producing vertex elimination orders, from which tree
-/// decompositions are derived (TreeDecomposition::FromEliminationOrder).
-/// All are the standard upper-bound heuristics; min-fill usually yields
+/// Heuristics producing vertex elimination orders, each with the tree
+/// decomposition it derives (TreeDecomposition::FromElimination). All
+/// are the standard upper-bound heuristics; min-fill usually yields
 /// smaller width, min-degree is faster. X10 (treedec ablation) compares
 /// them against exact treewidth on small graphs.
 ///
-/// Each heuristic reports the width and table cost of its order from the
-/// one elimination pass that chose it: the elimination degree of v is
-/// the number of not-yet-eliminated neighbors of v in the progressively
-/// filled graph, and the bag of v in the derived decomposition is v plus
-/// exactly those neighbors.
+/// Each heuristic records the bags of its order from the one
+/// elimination pass that chose it: the ring of v is the set of
+/// not-yet-eliminated neighbors of v in the progressively filled graph
+/// when v is eliminated, and the bag of v in the derived decomposition
+/// is v plus its ring. The width and table cost follow from the ring
+/// sizes.
 ///
 /// All three eliminate on one graph representation at every size: an
 /// adjacency list per vertex, so memory grows with the filled graph's
 /// edges, not with n^2. Min-fill keeps every vertex's fill count exact
 /// as it eliminates, updating only the ring and the common neighbors of
 /// each new fill edge, instead of recounting. The orders are
-/// deterministic: they depend on the graph, not on the iteration order
-/// of its neighbor sets. Ties break by ascending vertex id: min-fill
-/// takes the smallest (fill, degree, id), and min-degree and the peel
-/// push each eliminated vertex's neighbors in ascending id order onto
-/// LIFO queues.
+/// deterministic: they depend on the graph, not on the order of its
+/// neighbor lists. Ties break by ascending vertex id: min-fill takes the
+/// smallest (fill, degree, id), and min-degree and the peel push each
+/// eliminated vertex's neighbors in ascending id order onto LIFO queues.
 
 /// Per-bag table sizes are capped at 2^kEliminationCostCapBits so
 /// pathological orders cannot overflow the double's dynamic range; any
 /// such order is far past exact-inference feasibility anyway.
 inline constexpr uint32_t kEliminationCostCapBits = 63;
 
-/// An elimination order with the numbers of the decomposition it derives.
+/// An elimination order with the bags and numbers of the decomposition
+/// it derives.
 struct EliminationOrder {
   std::vector<VertexId> order;
+  /// The ring of order[i], ascending, is rings[ring_begin[i] ..
+  /// ring_begin[i + 1]); ring_begin has order.size() + 1 entries.
+  std::vector<uint32_t> ring_begin = {0};
+  std::vector<VertexId> rings;
   /// Maximum elimination degree: the width of the derived decomposition.
   uint32_t width = 0;
   /// Σ_v 2^min(deg(v)+1, kEliminationCostCapBits), summed in elimination
@@ -48,6 +54,19 @@ struct EliminationOrder {
   /// the unit of the batch planner's shared-vs-per-root cost model.
   double table_cost = 0;
 };
+
+/// The ring of the i-th eliminated vertex.
+inline std::span<const VertexId> Ring(const EliminationOrder& elimination,
+                                      size_t i) {
+  return {elimination.rings.data() + elimination.ring_begin[i],
+          elimination.rings.data() + elimination.ring_begin[i + 1]};
+}
+
+/// Eliminates the vertices of `graph` in the given order and records
+/// its rings, width and table cost. `order` must be a permutation of the
+/// vertices (checked).
+EliminationOrder EliminateInOrder(const Graph& graph,
+                                  const std::vector<VertexId>& order);
 
 /// Min-fill: repeatedly eliminates the vertex whose elimination adds the
 /// fewest fill edges (ties broken by smaller degree, then smaller id).

@@ -1,6 +1,7 @@
 #include "treedec/nice_decomposition.h"
 
 #include <algorithm>
+#include <span>
 
 #include "util/check.h"
 
@@ -66,8 +67,8 @@ NiceTreeDecomposition NiceTreeDecomposition::FromTreeDecomposition(
   // children-first).
   std::vector<NiceNodeId> built(td.NumBags(), kInvalidNiceNode);
   for (BagId b = static_cast<BagId>(td.NumBags()); b-- > 0;) {
-    const std::vector<VertexId>& target = td.bag(b);
-    const std::vector<BagId>& kids = td.children(b);
+    const std::vector<VertexId> target(td.bag(b).begin(), td.bag(b).end());
+    const std::span<const BagId> kids = td.children(b);
     if (kids.empty()) {
       // Chain of introduces from an empty leaf.
       NiceNodeId leaf = nice.AddNode(NiceNodeKind::kLeaf, UINT32_MAX, {}, {});
@@ -79,7 +80,8 @@ NiceTreeDecomposition NiceTreeDecomposition::FromTreeDecomposition(
     tops.reserve(kids.size());
     for (BagId c : kids) {
       TUD_CHECK_NE(built[c], kInvalidNiceNode);
-      tops.push_back(nice.MorphTo(built[c], td.bag(c), target));
+      tops.push_back(nice.MorphTo(
+          built[c], {td.bag(c).begin(), td.bag(c).end()}, target));
     }
     while (tops.size() > 1) {
       std::vector<NiceNodeId> next;
@@ -95,7 +97,8 @@ NiceTreeDecomposition NiceTreeDecomposition::FromTreeDecomposition(
 
   // Ensure the overall root has an empty bag.
   NiceNodeId top = built[td.root()];
-  nice.MorphTo(top, td.bag(td.root()), {});
+  nice.MorphTo(top, {td.bag(td.root()).begin(), td.bag(td.root()).end()},
+               {});
   TUD_CHECK(nice.bags_[nice.root()].empty());
   if (top_of_bag != nullptr) *top_of_bag = built;
   return nice;

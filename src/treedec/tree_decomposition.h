@@ -2,9 +2,10 @@
 #define TUD_TREEDEC_TREE_DECOMPOSITION_H_
 
 #include <cstdint>
-#include <string>
+#include <span>
 #include <vector>
 
+#include "treedec/elimination.h"
 #include "treedec/graph.h"
 
 namespace tud {
@@ -20,33 +21,44 @@ inline constexpr BagId kInvalidBag = UINT32_MAX;
 /// subtree (Robertson-Seymour [42]). Width = max bag size - 1.
 class TreeDecomposition {
  public:
-  /// Builds the decomposition induced by an elimination order: bag of v =
-  /// {v} ∪ (neighbors of v eliminated later, in the fill graph); the bag
-  /// of v is attached to the bag of its earliest-eliminated later
-  /// neighbor. Produces one bag per vertex plus one empty root bag so the
-  /// result is always a tree (even for disconnected graphs).
-  static TreeDecomposition FromEliminationOrder(
-      const Graph& graph, const std::vector<VertexId>& order);
+  /// The decomposition an elimination derives, from the bags its pass
+  /// recorded: bag of v = {v} ∪ ring(v) (the neighbors of v eliminated
+  /// later, in the fill graph); the bag of v is attached to the bag of
+  /// its earliest-eliminated ring member. Produces one bag per vertex
+  /// plus one empty root bag so the result is always a tree (even for
+  /// disconnected graphs). If `bag_of_vertex` is non-null it receives,
+  /// for each vertex v, the bag created when v was eliminated: for any
+  /// clique S of the graph, the bag of the earliest-eliminated vertex of
+  /// S contains all of S — which is how factors are assigned to bags in
+  /// junction-tree inference. The one converter from orders to
+  /// decompositions.
+  static TreeDecomposition FromElimination(
+      const EliminationOrder& elimination,
+      std::vector<BagId>* bag_of_vertex = nullptr);
 
-  /// As above, and also reports, for each vertex v, the bag created when
-  /// v was eliminated. That bag contains v and all its later-eliminated
-  /// fill-graph neighbors, so for any clique S of `graph`, the bag of the
-  /// earliest-eliminated vertex of S contains all of S — which is how
-  /// factors are assigned to bags in junction-tree inference.
+  /// FromElimination of `order` replayed on `graph` (EliminateInOrder:
+  /// `order` must be a permutation of the vertices).
   static TreeDecomposition FromEliminationOrder(
       const Graph& graph, const std::vector<VertexId>& order,
-      std::vector<BagId>* bag_of_vertex);
+      std::vector<BagId>* bag_of_vertex = nullptr);
 
   /// The trivial decomposition: a single bag containing every vertex.
   static TreeDecomposition Trivial(const Graph& graph);
 
-  size_t NumBags() const { return bags_.size(); }
+  size_t NumBags() const { return parents_.size(); }
   BagId root() const { return root_; }
   BagId parent(BagId b) const { return parents_[b]; }
-  const std::vector<BagId>& children(BagId b) const { return children_[b]; }
+  /// Children of the bag, ascending.
+  std::span<const BagId> children(BagId b) const {
+    return {child_pool_.data() + child_begin_[b],
+            child_pool_.data() + child_begin_[b + 1]};
+  }
 
   /// Sorted vertex set of the bag.
-  const std::vector<VertexId>& bag(BagId b) const { return bags_[b]; }
+  std::span<const VertexId> bag(BagId b) const {
+    return {members_.data() + bag_begin_[b],
+            members_.data() + bag_begin_[b + 1]};
+  }
 
   /// Max bag size - 1 (the width of the decomposition); -1 if no bags.
   int Width() const;
@@ -57,22 +69,23 @@ class TreeDecomposition {
   /// Returns some bag containing all of `vertices`, or kInvalidBag.
   BagId FindBagContaining(const std::vector<VertexId>& vertices) const;
 
-  /// Bags in a topological order with parents before children.
-  std::vector<BagId> TopDownOrder() const;
-
-  std::string ToString() const;
-
   /// Low-level construction for tests and adapters: adds a bag with the
   /// given sorted-deduplicated contents under `parent` (kInvalidBag for
-  /// the root; exactly one root allowed).
-  BagId AddBag(std::vector<VertexId> vertices, BagId parent);
+  /// the root; exactly one root allowed). Bags are created parents
+  /// first, so every parent has a smaller id than its children. Costs
+  /// O(NumBags()), which keeps the children lists flat.
+  BagId AddBag(const std::vector<VertexId>& vertices, BagId parent);
 
   TreeDecomposition() = default;
 
  private:
-  std::vector<std::vector<VertexId>> bags_;
+  // Bag b holds members_[bag_begin_[b] .. bag_begin_[b + 1]); its
+  // children are child_pool_[child_begin_[b] .. child_begin_[b + 1]).
+  std::vector<VertexId> members_;
+  std::vector<uint32_t> bag_begin_ = {0};
   std::vector<BagId> parents_;
-  std::vector<std::vector<BagId>> children_;
+  std::vector<BagId> child_pool_;
+  std::vector<uint32_t> child_begin_ = {0};
   BagId root_ = kInvalidBag;
 };
 

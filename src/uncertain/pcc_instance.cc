@@ -50,18 +50,17 @@ VertexId PccInstance::GateVertex(GateId g) const {
 Graph PccInstance::JointPrimalGraph() const {
   const uint32_t num_vertices = static_cast<uint32_t>(
       instance_.DomainSize() + circuit_.NumGates());
-  Graph graph(num_vertices);
-  for (const auto& [a, b] : instance_.GaifmanEdges()) graph.AddEdge(a, b);
+  std::vector<std::pair<VertexId, VertexId>> edges = instance_.GaifmanEdges();
   for (const auto& [a, b] : circuit_.PrimalEdges()) {
-    graph.AddEdge(GateVertex(a), GateVertex(b));
+    edges.emplace_back(GateVertex(a), GateVertex(b));
   }
   for (FactId f = 0; f < instance_.NumFacts(); ++f) {
     VertexId gate_vertex = GateVertex(annotations_[f]);
     for (Value v : instance_.fact(f).args) {
-      graph.AddEdge(v, gate_vertex);
+      edges.emplace_back(v, gate_vertex);
     }
   }
-  return graph;
+  return Graph::FromEdges(num_vertices, edges);
 }
 
 }  // namespace tud

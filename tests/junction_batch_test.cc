@@ -8,6 +8,8 @@
 // every engine mode (shared pass, uncached plans, default loop).
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
@@ -17,10 +19,17 @@
 #include "gtest/gtest.h"
 #include "inference/engine.h"
 #include "inference/junction_tree.h"
+#include "prxml/to_uncertain_tree.h"
 #include "queries/query_session.h"
+#include "queries/reachability.h"
+#include "treedec/elimination.h"
+#include "treedec/graph.h"
+#include "treedec/tree_decomposition.h"
 #include "uncertain/c_instance.h"
+#include "uncertain/pcc_instance.h"
 #include "uncertain/tid_instance.h"
 #include "util/rng.h"
+#include "workloads/workloads.h"
 
 namespace tud {
 namespace {
@@ -480,6 +489,140 @@ TEST(TreeQuerySessionBatchTest, ProbabilityBatchMatchesProbability) {
         << "expr " << i;
   }
   EXPECT_NEAR(batched[2].value, 0.4 * (1 - 0.6), 1e-9);
+}
+
+// FNV-1a over 64-bit words.
+class Fnv {
+ public:
+  void Mix(uint64_t word) {
+    for (int byte = 0; byte < 8; ++byte) {
+      hash_ ^= (word >> (8 * byte)) & 0xff;
+      hash_ *= 1099511628211ull;
+    }
+  }
+  void Mix(double value) { Mix(std::bit_cast<uint64_t>(value)); }
+  uint64_t hash() const { return hash_; }
+
+ private:
+  uint64_t hash_ = 14695981039346656037ull;
+};
+
+// Digest of the single-root plan of `root`: its width, bag count, the
+// members and parent of every bag, its total cell count and the bits of
+// its answer. The bags are those of the decomposition Build derives,
+// recomputed through the public treedec calls (the binarised cone's
+// primal graph, min-degree with the min-fill fallback past width 10),
+// and checked against the built plan's width and bag count.
+uint64_t PlanDigest(const BoolCircuit& circuit, GateId root,
+                    const EventRegistry& registry) {
+  const JunctionTreePlan plan = JunctionTreePlan::Build(circuit, root);
+  EXPECT_EQ(plan.build_status(), EngineStatus::kOk);
+  const auto [cone, cone_root] = circuit.ExtractCone(root);
+  const auto [bin, remap] = cone.Binarize();
+  EXPECT_NE(bin.kind(remap[cone_root]), GateKind::kConst);
+  const Graph graph = Graph::FromEdges(
+      static_cast<uint32_t>(bin.NumGates()), bin.PrimalEdges());
+  EliminationOrder elimination = MinDegreeOrder(graph);
+  if (elimination.width > 10) {
+    EliminationOrder fill = PeeledMinFillOrder(graph);
+    if (fill.width < elimination.width) elimination = std::move(fill);
+  }
+  const TreeDecomposition td =
+      TreeDecomposition::FromEliminationOrder(graph, elimination.order);
+  EXPECT_EQ(td.Width(), plan.width());
+  EXPECT_EQ(td.NumBags(), plan.num_bags());
+
+  Fnv fnv;
+  fnv.Mix(static_cast<uint64_t>(plan.width()));
+  fnv.Mix(static_cast<uint64_t>(plan.num_bags()));
+  for (BagId b = 0; b < td.NumBags(); ++b) {
+    fnv.Mix(static_cast<uint64_t>(td.parent(b)));
+    fnv.Mix(static_cast<uint64_t>(td.bag(b).size()));
+    for (VertexId v : td.bag(b)) fnv.Mix(static_cast<uint64_t>(v));
+  }
+  fnv.Mix(plan.total_cells());
+  fnv.Mix(plan.Execute(registry));
+  return fnv.hash();
+}
+
+// Plans pinned bit for bit: the same decompositions, tables and answers
+// as the plans of the earlier hash-set primal graph and symbolic
+// factorisation.
+TEST(JunctionTreeGoldenTest, PlanDigests) {
+  const TidInstance ladder =
+      workloads::MakeInstance(*workloads::ParseInstanceSpec("ladder:48"));
+  PccInstance ladder_pcc = PccInstance::FromCInstance(ladder.ToPcInstance());
+  const uint32_t domain =
+      static_cast<uint32_t>(ladder_pcc.instance().DomainSize());
+  Rng rng(19);
+  std::vector<GateId> ladder_roots;
+  std::vector<uint64_t> digests;
+  while (ladder_roots.size() < 8) {
+    const Value s = static_cast<Value>(rng.UniformInt(domain));
+    const Value t = static_cast<Value>(rng.UniformInt(domain));
+    if (s == t) continue;
+    const GateId root = ComputeReachabilityLineage(ladder_pcc, 0, s, t);
+    if (ladder_pcc.circuit().kind(root) == GateKind::kConst) continue;
+    ladder_roots.push_back(root);
+    digests.push_back(
+        PlanDigest(ladder_pcc.circuit(), root, ladder_pcc.events()));
+  }
+
+  const workloads::InstanceSpec ktree_spec =
+      *workloads::ParseInstanceSpec("ktree:64x2");
+  PccInstance ktree_pcc = PccInstance::FromCInstance(
+      workloads::MakeInstance(ktree_spec).ToPcInstance());
+  const auto [ks, kt] = workloads::CanonicalEndpoints(ktree_spec);
+  digests.push_back(PlanDigest(ktree_pcc.circuit(),
+                               ComputeReachabilityLineage(ktree_pcc, 0, ks, kt),
+                               ktree_pcc.events()));
+
+  // A two-atom tree-automaton lineage whose min-degree order is wider
+  // than Build accepts, so its plan comes from the min-fill fallback.
+  Rng doc_rng(6);
+  const PrXmlDocument doc = workloads::MakeWikidataPrxml(doc_rng, 48, 1);
+  XmlLabelMap labels;
+  Label dead;
+  UncertainBinaryTree tree = PrXmlToUncertainTree(doc, labels, &dead);
+  const Label alphabet = tree.AlphabetSize();
+  const Label occupation = labels.Find("occupation");
+  TreeQuerySession session(std::move(tree), doc.events(),
+                           std::make_unique<JunctionTreeEngine>());
+  const GateId automaton_root = session.Lineage(
+      AutomatonExpr::Atom(MakeExistsLabel(alphabet, occupation)) ||
+      AutomatonExpr::Atom(MakeEveryBUnderA(alphabet, occupation,
+                                           labels.Find("musician"))));
+  EXPECT_GT(JunctionTreeAnalysis::Analyze(session.tree().circuit(),
+                                          automaton_root)
+                .MinDegreeWidth(),
+            10);
+  digests.push_back(
+      PlanDigest(session.tree().circuit(), automaton_root, doc.events()));
+
+  // One shared plan over the union of three ladder cones.
+  const JunctionTreePlan batch = JunctionTreePlan::BuildBatch(
+      ladder_pcc.circuit(),
+      std::vector<GateId>(ladder_roots.begin(), ladder_roots.begin() + 3));
+  ASSERT_EQ(batch.build_status(), EngineStatus::kOk) << batch.width();
+  std::vector<double> values;
+  ASSERT_EQ(batch.ExecuteBatch(ladder_pcc.events(), {}, &values),
+            EngineStatus::kOk);
+  Fnv fnv;
+  fnv.Mix(static_cast<uint64_t>(batch.width()));
+  fnv.Mix(static_cast<uint64_t>(batch.num_bags()));
+  fnv.Mix(batch.total_cells());
+  for (double value : values) fnv.Mix(value);
+  digests.push_back(fnv.hash());
+
+  // 8 ladder:48 pairs, ktree:64x2, the tree-automaton fallback, the
+  // batch.
+  const std::vector<uint64_t> kGolden = {
+      0x58294f7850cc682eull, 0x4ab9efc4cd63bef6ull, 0x844ba49f6774f5b6ull,
+      0x9e9f57b08078de16ull, 0xdce2184dcff769e7ull, 0x4b9ef844501515ccull,
+      0x385d0828bf11f51cull, 0x3115eedd8da8ccf6ull, 0xdf24c51f79205c21ull,
+      0x924ec9a89e507117ull, 0x0da9930c10eda12dull,
+  };
+  EXPECT_EQ(digests, kGolden);
 }
 
 }  // namespace

@@ -3,6 +3,8 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <span>
+#include <functional>
 #include <memory>
 #include <string>
 #include <tuple>
@@ -26,73 +28,107 @@
 namespace tud {
 namespace {
 
+using EdgeList = std::vector<std::pair<VertexId, VertexId>>;
+
 Graph PathGraph(uint32_t n) {
-  Graph g(n);
-  for (uint32_t i = 0; i + 1 < n; ++i) g.AddEdge(i, i + 1);
-  return g;
+  EdgeList edges;
+  for (uint32_t i = 0; i + 1 < n; ++i) edges.emplace_back(i, i + 1);
+  return Graph::FromEdges(n, edges);
 }
 
 Graph CycleGraph(uint32_t n) {
-  Graph g = PathGraph(n);
-  g.AddEdge(n - 1, 0);
-  return g;
+  EdgeList edges = {{n - 1, 0}};
+  for (uint32_t i = 0; i + 1 < n; ++i) edges.emplace_back(i, i + 1);
+  return Graph::FromEdges(n, edges);
 }
 
 Graph CompleteGraph(uint32_t n) {
-  Graph g(n);
+  EdgeList edges;
   for (uint32_t i = 0; i < n; ++i) {
-    for (uint32_t j = i + 1; j < n; ++j) g.AddEdge(i, j);
+    for (uint32_t j = i + 1; j < n; ++j) edges.emplace_back(i, j);
   }
-  return g;
+  return Graph::FromEdges(n, edges);
 }
 
 Graph GridGraph(uint32_t rows, uint32_t cols) {
-  Graph g(rows * cols);
+  EdgeList edges;
   for (uint32_t r = 0; r < rows; ++r) {
     for (uint32_t c = 0; c < cols; ++c) {
-      if (c + 1 < cols) g.AddEdge(r * cols + c, r * cols + c + 1);
-      if (r + 1 < rows) g.AddEdge(r * cols + c, (r + 1) * cols + c);
+      if (c + 1 < cols) edges.emplace_back(r * cols + c, r * cols + c + 1);
+      if (r + 1 < rows) edges.emplace_back(r * cols + c, (r + 1) * cols + c);
     }
   }
-  return g;
+  return Graph::FromEdges(rows * cols, edges);
 }
 
 Graph RandomGraph(uint32_t n, double p, uint64_t seed) {
   Rng rng(seed);
-  Graph g(n);
+  EdgeList edges;
   for (uint32_t i = 0; i < n; ++i) {
     for (uint32_t j = i + 1; j < n; ++j) {
-      if (rng.Bernoulli(p)) g.AddEdge(i, j);
+      if (rng.Bernoulli(p)) edges.emplace_back(i, j);
     }
   }
-  return g;
+  return Graph::FromEdges(n, edges);
 }
 
 TEST(GraphTest, BasicOperations) {
-  Graph g(4);
-  g.AddEdge(0, 1);
-  g.AddEdge(1, 2);
-  g.AddEdge(1, 2);  // Duplicate ignored.
-  g.AddEdge(2, 2);  // Self-loop ignored.
-  EXPECT_EQ(g.NumEdges(), 2u);
+  const Graph g = Graph::FromEdges(4, EdgeList{{0, 1}, {1, 2}, {2, 1}, {2, 2}});
+  EXPECT_EQ(g.NumEdges(), 2u);  // Duplicate and self-loop dropped.
   EXPECT_TRUE(g.HasEdge(0, 1));
   EXPECT_TRUE(g.HasEdge(1, 0));
   EXPECT_FALSE(g.HasEdge(0, 2));
+  EXPECT_FALSE(g.HasEdge(2, 2));
   EXPECT_EQ(g.Degree(1), 2u);
   EXPECT_EQ(g.Degree(3), 0u);
+  EXPECT_EQ(Graph(3).NumEdges(), 0u);
+  EXPECT_EQ(Graph(3).Degree(2), 0u);
+}
+
+// FromEdges keeps exactly the distinct non-loop edges of a random list
+// with repeats in both orientations, each row ascending.
+TEST(GraphTest, FromEdgesRowsAreAscendingAndDeduplicated) {
+  for (uint64_t seed = 0; seed < 8; ++seed) {
+    Rng rng(seed);
+    const uint32_t n = 1 + static_cast<uint32_t>(rng.UniformInt(60));
+    EdgeList edges;
+    std::vector<std::vector<bool>> expected(n, std::vector<bool>(n, false));
+    for (int i = 0; i < 200; ++i) {
+      const auto a = static_cast<VertexId>(rng.UniformInt(n));
+      const auto b = static_cast<VertexId>(rng.UniformInt(n));
+      edges.emplace_back(a, b);
+      if (a != b) expected[a][b] = expected[b][a] = true;
+    }
+    const Graph g = Graph::FromEdges(n, edges);
+    size_t num_edges = 0;
+    for (VertexId v = 0; v < n; ++v) {
+      const std::span<const VertexId> row = g.Neighbors(v);
+      EXPECT_TRUE(std::adjacent_find(row.begin(), row.end(),
+                                     std::greater_equal<VertexId>()) ==
+                  row.end())
+          << "row " << v << " not strictly ascending";
+      for (VertexId u = 0; u < n; ++u) {
+        EXPECT_EQ(g.HasEdge(v, u), expected[v][u]) << v << "-" << u;
+        num_edges += expected[v][u] && v < u;
+      }
+      EXPECT_EQ(g.Degree(v), std::count(expected[v].begin(),
+                                        expected[v].end(), true));
+    }
+    EXPECT_EQ(g.NumEdges(), num_edges);
+  }
 }
 
 // Random recursive forest: vertex i > 0 hangs off a random earlier
 // vertex, or (with probability `root_p`) starts a new component.
 Graph RandomForest(uint32_t n, double root_p, uint64_t seed) {
   Rng rng(seed);
-  Graph g(n);
+  EdgeList edges;
   for (uint32_t i = 1; i < n; ++i) {
     if (!rng.Bernoulli(root_p)) {
-      g.AddEdge(i, static_cast<VertexId>(rng.UniformInt(i)));
+      edges.emplace_back(i, static_cast<VertexId>(rng.UniformInt(i)));
     }
   }
-  return g;
+  return Graph::FromEdges(n, edges);
 }
 
 using Heuristic = EliminationOrder (*)(const Graph&);
@@ -120,18 +156,14 @@ std::vector<std::pair<std::string, Graph>> GraphFamilies() {
 }
 
 Graph StarGraph(uint32_t leaves) {
-  Graph g(leaves + 1);
-  for (VertexId leaf = 1; leaf <= leaves; ++leaf) g.AddEdge(0, leaf);
-  return g;
+  EdgeList edges;
+  for (VertexId leaf = 1; leaf <= leaves; ++leaf) edges.emplace_back(0, leaf);
+  return Graph::FromEdges(leaves + 1, edges);
 }
 
 Graph PartialKTree(uint32_t n, uint32_t k, uint64_t seed) {
   Rng rng(seed);
-  Graph g(n);
-  for (const auto& [a, b] : workloads::PartialKTreeEdges(rng, n, k, 0.9)) {
-    g.AddEdge(a, b);
-  }
-  return g;
+  return Graph::FromEdges(n, workloads::PartialKTreeEdges(rng, n, k, 0.9));
 }
 
 // Min-fill by recounting: before every elimination, count the fill of
@@ -201,46 +233,16 @@ uint64_t Digest(const EliminationOrder& elimination) {
 }
 
 // The primal graph a junction-tree plan decomposes for one lineage gate:
-// over the gates of the binarised cone reachable from the root, numbered
-// in gate order, one clique per gate scope ({gate} and its inputs).
+// over the gates of the binarised cone, numbered in gate order, one
+// clique per gate scope ({gate} and its inputs). For a root that does
+// not fold to a constant every binarised gate is reachable from the
+// root, so these are exactly the vertices of JunctionTreeAnalysis.
 Graph LineagePrimalGraph(const BoolCircuit& circuit, GateId root) {
-  const auto [cone, cone_roots] = circuit.ExtractCones({root});
+  const auto [cone, cone_root] = circuit.ExtractCone(root);
   const auto [bin, remap] = cone.Binarize();
-  const GateId bin_root = remap[cone_roots[0]];
-  std::vector<bool> seen(bin.NumGates(), false);
-  std::vector<GateId> stack;
-  if (bin.kind(bin_root) != GateKind::kConst) {
-    seen[bin_root] = true;
-    stack.push_back(bin_root);
-  }
-  while (!stack.empty()) {
-    const GateId g = stack.back();
-    stack.pop_back();
-    for (GateId in : bin.inputs(g)) {
-      if (!seen[in]) {
-        seen[in] = true;
-        stack.push_back(in);
-      }
-    }
-  }
-  std::vector<VertexId> vertex_of(bin.NumGates(), UINT32_MAX);
-  std::vector<GateId> gates;
-  for (GateId g = 0; g < bin.NumGates(); ++g) {
-    if (!seen[g]) continue;
-    vertex_of[g] = static_cast<VertexId>(gates.size());
-    gates.push_back(g);
-  }
-  Graph graph(static_cast<uint32_t>(gates.size()));
-  for (VertexId v = 0; v < gates.size(); ++v) {
-    const std::vector<GateId>& ins = bin.inputs(gates[v]);
-    for (size_t i = 0; i < ins.size(); ++i) {
-      graph.AddEdge(v, vertex_of[ins[i]]);
-      for (size_t j = i + 1; j < ins.size(); ++j) {
-        graph.AddEdge(vertex_of[ins[i]], vertex_of[ins[j]]);
-      }
-    }
-  }
-  return graph;
+  EXPECT_NE(bin.kind(remap[cone_root]), GateKind::kConst);
+  return Graph::FromEdges(static_cast<uint32_t>(bin.NumGates()),
+                          bin.PrimalEdges());
 }
 
 // The lineage of ExistsLabel(occupation) Or EveryBUnderA(occupation,
@@ -291,6 +293,101 @@ TEST(EliminationTest, ReportedWidthAndCostMatchDerivedDecomposition) {
         cost += std::ldexp(1.0, static_cast<int>(td.bag(bag_of[v]).size()));
       }
       EXPECT_EQ(elimination.table_cost, cost) << name;
+    }
+  }
+}
+
+// The rings of an order by symbolic factorisation (the sparse Cholesky
+// structure recurrence), without simulating any elimination: the ring of
+// v is its later-eliminated neighbors united with ring(c) \ {v} for every
+// elimination-tree child c of v (the vertices whose earliest-eliminated
+// ring member is v). Returns the ring of each position, ascending.
+std::vector<std::vector<VertexId>> SymbolicRings(
+    const Graph& graph, const std::vector<VertexId>& order) {
+  const uint32_t n = graph.NumVertices();
+  std::vector<uint32_t> position(n);
+  for (uint32_t i = 0; i < n; ++i) position[order[i]] = i;
+  std::vector<std::vector<VertexId>> ring_of(n), etree_children(n);
+  std::vector<bool> in_ring(n, false);
+  std::vector<std::vector<VertexId>> rings(n);
+  for (uint32_t i = 0; i < n; ++i) {
+    const VertexId v = order[i];
+    std::vector<VertexId> ring;
+    auto add = [&](VertexId u) {
+      if (!in_ring[u]) {
+        in_ring[u] = true;
+        ring.push_back(u);
+      }
+    };
+    for (VertexId u : graph.Neighbors(v)) {
+      if (position[u] > i) add(u);
+    }
+    for (VertexId c : etree_children[v]) {
+      for (VertexId u : ring_of[c]) {
+        if (u != v) add(u);
+      }
+    }
+    for (VertexId u : ring) in_ring[u] = false;
+    std::sort(ring.begin(), ring.end());
+    if (!ring.empty()) {
+      etree_children[*std::min_element(
+                         ring.begin(), ring.end(),
+                         [&](VertexId a, VertexId b) {
+                           return position[a] < position[b];
+                         })]
+          .push_back(v);
+    }
+    ring_of[v] = ring;
+    rings[i] = std::move(ring);
+  }
+  return rings;
+}
+
+// The bags every heuristic records in its elimination pass, and those of
+// a replayed shuffled order, are the bags symbolic factorisation derives;
+// FromElimination turns them into bags {v} ∪ ring(v).
+TEST(EliminationTest, RecordedBagsMatchSymbolicFactorisation) {
+  Rng rng(41);
+  for (const auto& [name, g] : GraphFamilies()) {
+    std::vector<std::pair<std::string, EliminationOrder>> eliminations;
+    for (size_t h = 0; h < std::size(kHeuristics); ++h) {
+      eliminations.emplace_back(name + "/" + std::to_string(h),
+                                kHeuristics[h](g));
+    }
+    if (g.NumVertices() <= 100) {
+      std::vector<VertexId> shuffled(g.NumVertices());
+      for (VertexId v = 0; v < g.NumVertices(); ++v) {
+        const auto j = static_cast<size_t>(rng.UniformInt(v + 1));
+        shuffled[v] = shuffled[j];
+        shuffled[j] = v;
+      }
+      eliminations.emplace_back(name + "/shuffled",
+                                EliminateInOrder(g, shuffled));
+    }
+    for (const auto& [label, elimination] : eliminations) {
+      const std::vector<std::vector<VertexId>> expected =
+          SymbolicRings(g, elimination.order);
+      ASSERT_EQ(elimination.ring_begin.size(), elimination.order.size() + 1);
+      std::vector<BagId> bag_of;
+      const TreeDecomposition td =
+          TreeDecomposition::FromElimination(elimination, &bag_of);
+      for (size_t i = 0; i < elimination.order.size(); ++i) {
+        const std::span<const VertexId> ring = Ring(elimination, i);
+        ASSERT_EQ(std::vector<VertexId>(ring.begin(), ring.end()),
+                  expected[i])
+            << label << " position " << i;
+        std::vector<VertexId> bag = expected[i];
+        bag.insert(std::upper_bound(bag.begin(), bag.end(),
+                                    elimination.order[i]),
+                   elimination.order[i]);
+        const std::span<const VertexId> td_bag =
+            td.bag(bag_of[elimination.order[i]]);
+        ASSERT_EQ(std::vector<VertexId>(td_bag.begin(), td_bag.end()), bag)
+            << label;
+      }
+      if (g.NumVertices() <= 100) {
+        EXPECT_TRUE(td.IsValidFor(g)) << label;
+      }
     }
   }
 }
@@ -483,9 +580,7 @@ TEST(TreeDecompositionTest, InvalidDecompositionDetected) {
 }
 
 TEST(TreeDecompositionTest, DisconnectedOccurrencesDetected) {
-  Graph g(3);
-  g.AddEdge(0, 1);
-  g.AddEdge(1, 2);
+  const Graph g = PathGraph(3);
   TreeDecomposition td;
   BagId root = td.AddBag({0, 1}, kInvalidBag);
   BagId middle = td.AddBag({1, 2}, root);
@@ -513,7 +608,7 @@ TEST(NiceDecompositionTest, TopOfBagMapsToMatchingBags) {
       NiceTreeDecomposition::FromTreeDecomposition(td, &top_of_bag);
   ASSERT_EQ(top_of_bag.size(), td.NumBags());
   for (BagId b = 0; b < td.NumBags(); ++b) {
-    EXPECT_EQ(nice.bag(top_of_bag[b]), td.bag(b));
+    EXPECT_TRUE(std::ranges::equal(nice.bag(top_of_bag[b]), td.bag(b)));
   }
 }
 

@@ -75,13 +75,11 @@ struct PlanDeltaState {
   void Reset() { *this = PlanDeltaState{}; }
 };
 
-/// The query-shape analysis every junction-tree plan starts from, in
-/// one pass over the roots' cone in the source circuit: collect the
-/// cone, binarise it into per-vertex arrays (kind, event, at most two
-/// input vertices; vertices numbered in creation order), build the
-/// primal graph of the factor scopes as a CSR Graph, and (on demand)
-/// compute the min-degree elimination order with its bags and width.
-/// The pass costs O(cone), not O(circuit). Split out of
+/// The query-shape analysis every junction-tree plan starts from: one
+/// O(cone) pass over the roots' cone in the source circuit binarises it
+/// into per-vertex arrays and builds the primal graph of the factor
+/// scopes; the min-degree elimination order, with its bags and width,
+/// is computed on demand. Split out of
 /// JunctionTreePlan::Build so the AutoEngine planner, whose escalation
 /// decision *is* the min-degree width estimate, can hand the analysis to
 /// the engine it selects instead of the engine redoing the

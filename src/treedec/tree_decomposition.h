@@ -21,17 +21,14 @@ inline constexpr BagId kInvalidBag = UINT32_MAX;
 /// subtree (Robertson-Seymour [42]). Width = max bag size - 1.
 class TreeDecomposition {
  public:
-  /// The decomposition an elimination derives, from the bags its pass
-  /// recorded: bag of v = {v} ∪ ring(v) (the neighbors of v eliminated
-  /// later, in the fill graph); the bag of v is attached to the bag of
-  /// its earliest-eliminated ring member. Produces one bag per vertex
-  /// plus one empty root bag so the result is always a tree (even for
-  /// disconnected graphs). If `bag_of_vertex` is non-null it receives,
-  /// for each vertex v, the bag created when v was eliminated: for any
-  /// clique S of the graph, the bag of the earliest-eliminated vertex of
-  /// S contains all of S — which is how factors are assigned to bags in
-  /// junction-tree inference. The one converter from orders to
-  /// decompositions.
+  /// The one converter from orders to decompositions: bag of v =
+  /// {v} ∪ ring(v), as the elimination recorded it, attached to the bag
+  /// of v's earliest-eliminated ring member. One bag per vertex plus an
+  /// empty root bag, so the result is a tree even for disconnected
+  /// graphs. `bag_of_vertex`, if non-null, receives the bag of each
+  /// vertex: for any clique S of the graph, the bag of the
+  /// earliest-eliminated vertex of S contains all of S — which is how
+  /// factors are assigned to bags in junction-tree inference.
   static TreeDecomposition FromElimination(
       const EliminationOrder& elimination,
       std::vector<BagId>* bag_of_vertex = nullptr);

@@ -2,10 +2,10 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
-#include <limits>
-#include <span>
 #include <functional>
+#include <limits>
 #include <memory>
+#include <span>
 #include <string>
 #include <tuple>
 #include <utility>
@@ -37,8 +37,9 @@ Graph PathGraph(uint32_t n) {
 }
 
 Graph CycleGraph(uint32_t n) {
-  EdgeList edges = {{n - 1, 0}};
+  EdgeList edges;
   for (uint32_t i = 0; i + 1 < n; ++i) edges.emplace_back(i, i + 1);
+  edges.emplace_back(n - 1, 0);
   return Graph::FromEdges(n, edges);
 }
 

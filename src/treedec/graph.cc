@@ -12,6 +12,8 @@ Graph Graph::FromEdges(uint32_t num_vertices,
   // b; walking those buckets in ascending b and appending b to row a then
   // fills every row in ascending order, so duplicates are adjacent.
   const size_t n = num_vertices;
+  TUD_CHECK_LE(edges.size(), size_t{UINT32_MAX / 2})
+      << "graph too large for 32-bit row offsets";
   std::vector<uint32_t> by_head(n + 2, 0);
   for (const auto& [a, b] : edges) {
     TUD_CHECK_LT(a, num_vertices);

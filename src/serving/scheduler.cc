@@ -1,6 +1,5 @@
 #include "serving/scheduler.h"
 
-#include <chrono>
 #include <utility>
 
 #include "util/check.h"
@@ -11,105 +10,12 @@ namespace serving {
 namespace {
 
 /// Which scheduler's worker (if any) the current thread is — lets
-/// Spawn/Submit route to the calling worker's own deque, and
-/// CurrentScratch find the worker's arena.
+/// Submit skip backpressure on workers, and CurrentScratch find the
+/// worker's arena.
 thread_local TaskScheduler* tls_scheduler = nullptr;
-thread_local unsigned tls_worker_index = 0;
 thread_local PlanScratch* tls_scratch = nullptr;
 
-/// SplitMix64: cheap per-worker victim selection.
-uint64_t NextRandom(uint64_t* state) {
-  uint64_t z = (*state += 0x9e3779b97f4a7c15ull);
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-  return z ^ (z >> 31);
-}
-
 }  // namespace
-
-// ---------------------------------------------------------------------------
-// WorkDeque — Chase-Lev with atomic slot cells (TSan-clean: no standalone
-// fences; the owner/thief ordering is carried by seq_cst operations on
-// top_/bottom_ and the slot cells themselves are atomics).
-
-TaskScheduler::WorkDeque::WorkDeque() : ring_(new Ring(64)) {
-  retired_.emplace_back(ring_.load(std::memory_order_relaxed));
-}
-
-TaskScheduler::WorkDeque::~WorkDeque() {
-  // Drop any tasks never claimed (shutdown after Drain leaves none in
-  // the common case; this keeps the deque leak-free regardless).
-  for (Task* task; (task = PopBottom()) != nullptr;) delete task;
-  // `retired_` owns every ring ever allocated, including the live one.
-}
-
-bool TaskScheduler::WorkDeque::Empty() const {
-  uint64_t b = bottom_.load(std::memory_order_seq_cst);
-  uint64_t t = top_.load(std::memory_order_seq_cst);
-  return t >= b;
-}
-
-TaskScheduler::WorkDeque::Ring* TaskScheduler::WorkDeque::Grow(
-    Ring* ring, uint64_t bottom, uint64_t top) {
-  Ring* bigger = new Ring(ring->capacity * 2);
-  for (uint64_t i = top; i < bottom; ++i) bigger->Put(i, ring->Get(i));
-  retired_.emplace_back(bigger);
-  ring_.store(bigger, std::memory_order_seq_cst);
-  return bigger;
-}
-
-void TaskScheduler::WorkDeque::PushBottom(Task* task) {
-  uint64_t b = bottom_.load(std::memory_order_relaxed);
-  uint64_t t = top_.load(std::memory_order_acquire);
-  Ring* ring = ring_.load(std::memory_order_relaxed);
-  if (b - t >= ring->capacity) ring = Grow(ring, b, t);
-  ring->Put(b, task);
-  bottom_.store(b + 1, std::memory_order_seq_cst);
-}
-
-TaskScheduler::Task* TaskScheduler::WorkDeque::PopBottom() {
-  uint64_t b = bottom_.load(std::memory_order_relaxed);
-  if (b == top_.load(std::memory_order_relaxed) &&
-      b == 0)  // Never pushed; avoid the b-1 underflow reservation.
-    return nullptr;
-  b = b - 1;
-  Ring* ring = ring_.load(std::memory_order_relaxed);
-  bottom_.store(b, std::memory_order_seq_cst);  // Reserve the slot.
-  uint64_t t = top_.load(std::memory_order_seq_cst);
-  if (t > b) {  // Deque was empty; undo the reservation.
-    bottom_.store(b + 1, std::memory_order_seq_cst);
-    return nullptr;
-  }
-  Task* task = ring->Get(b);
-  if (t == b) {
-    // Last element: race a pending thief for it via top.
-    if (!top_.compare_exchange_strong(t, t + 1, std::memory_order_seq_cst,
-                                      std::memory_order_seq_cst)) {
-      task = nullptr;  // Thief won.
-    }
-    bottom_.store(b + 1, std::memory_order_seq_cst);
-  }
-  return task;
-}
-
-TaskScheduler::Task* TaskScheduler::WorkDeque::Steal() {
-  uint64_t t = top_.load(std::memory_order_seq_cst);
-  uint64_t b = bottom_.load(std::memory_order_seq_cst);
-  if (t >= b) return nullptr;
-  Ring* ring = ring_.load(std::memory_order_seq_cst);
-  Task* task = ring->Get(t);
-  // The slot is only valid if top has not moved: the owner never
-  // overwrites slots in [top, bottom) of a published ring (growth
-  // copies into a fresh ring), so a successful CAS claims `task`.
-  if (!top_.compare_exchange_strong(t, t + 1, std::memory_order_seq_cst,
-                                    std::memory_order_seq_cst)) {
-    return nullptr;
-  }
-  return task;
-}
-
-// ---------------------------------------------------------------------------
-// TaskScheduler
 
 TaskScheduler::TaskScheduler() : TaskScheduler(Options()) {}
 
@@ -123,71 +29,42 @@ TaskScheduler::TaskScheduler(const Options& options)
   TUD_CHECK(queue_capacity_ > 0) << "TaskScheduler: queue_capacity must be > 0";
   workers_.reserve(n);
   for (unsigned i = 0; i < n; ++i)
-    workers_.emplace_back(std::make_unique<Worker>());
-  // Start only after every Worker exists: workers steal from siblings.
-  for (unsigned i = 0; i < n; ++i)
-    workers_[i]->thread = std::thread([this, i] { WorkerLoop(i); });
+    workers_.emplace_back([this] { WorkerLoop(); });
 }
 
 TaskScheduler::~TaskScheduler() {
   Drain();
-  stop_.store(true, std::memory_order_seq_cst);
   {
-    std::lock_guard<std::mutex> lock(park_mu_);
+    std::lock_guard<std::mutex> lock(mu_);
+    stop_ = true;
   }
-  park_cv_.notify_all();
-  for (auto& worker : workers_)
-    if (worker->thread.joinable()) worker->thread.join();
-  for (Task* task : intake_) delete task;  // Tasks rejected by shutdown.
-  intake_.clear();
+  not_empty_.notify_all();
+  not_full_.notify_all();
+  for (std::thread& worker : workers_) worker.join();
 }
 
 bool TaskScheduler::Submit(Task task) {
-  if (stop_.load(std::memory_order_relaxed)) return false;
-  if (tls_scheduler == this) return Spawn(std::move(task));
-  Task* heap_task = new Task(std::move(task));
   {
-    std::unique_lock<std::mutex> lock(intake_mu_);
-    intake_not_full_.wait(lock, [&] {
-      return intake_.size() < queue_capacity_ ||
-             stop_.load(std::memory_order_relaxed);
-    });
-    if (stop_.load(std::memory_order_relaxed)) {
-      delete heap_task;
-      return false;
+    std::unique_lock<std::mutex> lock(mu_);
+    if (tls_scheduler != this) {
+      not_full_.wait(lock,
+                     [&] { return queue_.size() < queue_capacity_ || stop_; });
     }
-    // Count the task before publishing it: workers pop intake_ under
-    // this same lock, so the increment happens-before any worker's
-    // RunTask fetch_sub — outstanding_ can never transiently underflow
-    // and Drain() cannot return while an accepted task is in flight.
+    if (stop_) return false;
+    // Count the task before publishing it: workers pop under this same
+    // lock, so the increment happens-before the task's decrement and
+    // Drain() cannot return while an accepted task is in flight.
     outstanding_.fetch_add(1, std::memory_order_seq_cst);
-    intake_.push_back(heap_task);
+    queue_.push_back(std::move(task));
   }
   submitted_.fetch_add(1, std::memory_order_relaxed);
-  {
-    std::lock_guard<std::mutex> lock(park_mu_);
-  }
-  park_cv_.notify_one();
-  return true;
-}
-
-bool TaskScheduler::Spawn(Task task) {
-  if (tls_scheduler != this) return Submit(std::move(task));
-  if (stop_.load(std::memory_order_relaxed)) return false;
-  Task* heap_task = new Task(std::move(task));
-  submitted_.fetch_add(1, std::memory_order_relaxed);
-  outstanding_.fetch_add(1, std::memory_order_seq_cst);
-  workers_[tls_worker_index]->deque.PushBottom(heap_task);
-  {
-    std::lock_guard<std::mutex> lock(park_mu_);
-  }
-  park_cv_.notify_one();  // Wake a thief for the new work.
+  not_empty_.notify_one();
   return true;
 }
 
 void TaskScheduler::Drain() {
-  std::unique_lock<std::mutex> lock(drain_mu_);
-  drain_cv_.wait(lock, [&] {
+  std::unique_lock<std::mutex> lock(mu_);
+  idle_.wait(lock, [&] {
     return outstanding_.load(std::memory_order_seq_cst) == 0;
   });
 }
@@ -196,84 +73,57 @@ TaskScheduler::Stats TaskScheduler::stats() const {
   Stats s;
   s.submitted = submitted_.load(std::memory_order_relaxed);
   s.executed = executed_.load(std::memory_order_relaxed);
-  s.stolen = stolen_.load(std::memory_order_relaxed);
   s.failed = failed_.load(std::memory_order_relaxed);
   return s;
 }
 
 PlanScratch* TaskScheduler::CurrentScratch() { return tls_scratch; }
 
-bool TaskScheduler::OnWorkerThread() const { return tls_scheduler == this; }
-
-void TaskScheduler::RunTask(Task* task) {
+void TaskScheduler::RunTask(Task& task) {
   // Per-task exception containment: a throwing task (bad_alloc under
   // memory pressure, a bug in a caller's lambda) fails *its own* work —
   // the task is expected to route the error into its promise — and must
   // never take the worker thread down with it (an escaped exception
   // here would std::terminate the process and strand every queued
-  // future). The task is still deleted and outstanding_ still
+  // future). The task is still destroyed and outstanding_ still
   // decremented, so Drain() and shutdown cannot hang on a failed task.
   try {
-    (*task)();
+    task();
     executed_.fetch_add(1, std::memory_order_relaxed);
   } catch (...) {
     failed_.fetch_add(1, std::memory_order_relaxed);
   }
-  delete task;
+  task = nullptr;  // Release the captures before Drain() can return.
   if (outstanding_.fetch_sub(1, std::memory_order_seq_cst) == 1) {
-    std::lock_guard<std::mutex> lock(drain_mu_);
-    drain_cv_.notify_all();
+    // Taking mu_ orders this decrement against a Drain() that has
+    // checked its predicate but not yet started waiting.
+    { std::lock_guard<std::mutex> lock(mu_); }
+    idle_.notify_all();
   }
 }
 
-TaskScheduler::Task* TaskScheduler::FindWork(unsigned index,
-                                             uint64_t* rng_state) {
-  // 1. Own deque (LIFO — freshest spawned subtask, hottest cache).
-  if (Task* task = workers_[index]->deque.PopBottom()) return task;
-  // 2. Intake queue (external submissions, FIFO).
-  {
-    std::unique_lock<std::mutex> lock(intake_mu_);
-    if (!intake_.empty()) {
-      Task* task = intake_.front();
-      intake_.pop_front();
-      lock.unlock();
-      intake_not_full_.notify_one();
-      return task;
-    }
-  }
-  // 3. Steal: sweep the siblings from a random start.
-  unsigned n = static_cast<unsigned>(workers_.size());
-  if (n > 1) {
-    unsigned start = static_cast<unsigned>(NextRandom(rng_state) % n);
-    for (unsigned k = 0; k < n; ++k) {
-      unsigned victim = start + k;
-      if (victim >= n) victim -= n;
-      if (victim == index) continue;
-      if (Task* task = workers_[victim]->deque.Steal()) {
-        stolen_.fetch_add(1, std::memory_order_relaxed);
-        return task;
-      }
-    }
-  }
-  return nullptr;
-}
-
-void TaskScheduler::WorkerLoop(unsigned index) {
+void TaskScheduler::WorkerLoop() {
+  PlanScratch scratch;
   tls_scheduler = this;
-  tls_worker_index = index;
-  tls_scratch = &workers_[index]->scratch;
-  uint64_t rng_state = 0x853c49e6748fea9bull + index;
+  tls_scratch = &scratch;
   while (true) {
-    if (Task* task = FindWork(index, &rng_state)) {
-      RunTask(task);
-      continue;
+    Task task;
+    bool half_empty = false;
+    {
+      std::unique_lock<std::mutex> lock(mu_);
+      not_empty_.wait(lock, [&] { return !queue_.empty() || stop_; });
+      if (queue_.empty()) break;  // Stopped, and nothing left to run.
+      task = std::move(queue_.front());
+      queue_.pop_front();
+      // Wake blocked submitters only once the queue is half empty, so a
+      // flood held at capacity costs one wakeup per capacity/2 tasks,
+      // not one per task. No waiter is missed: each waits at a full
+      // queue, and only pops shrink it, one task at a time, so some pop
+      // lands on exactly capacity/2 after it.
+      half_empty = queue_.size() == queue_capacity_ / 2;
     }
-    if (stop_.load(std::memory_order_seq_cst)) break;
-    // Park briefly, then rescan: a timed wait keeps the wakeup protocol
-    // simple (no per-worker flags) at a bounded worst-case latency.
-    std::unique_lock<std::mutex> lock(park_mu_);
-    if (stop_.load(std::memory_order_seq_cst)) break;
-    park_cv_.wait_for(lock, std::chrono::microseconds(500));
+    if (half_empty) not_full_.notify_all();
+    RunTask(task);
   }
   tls_scheduler = nullptr;
   tls_scratch = nullptr;

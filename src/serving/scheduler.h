@@ -7,7 +7,6 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -17,24 +16,18 @@
 namespace tud {
 namespace serving {
 
-/// A work-stealing task scheduler — the execution substrate of the
-/// serving layer. N worker threads each own a Chase-Lev deque; tasks
-/// spawned *from* a worker go to the bottom of its own deque (LIFO, so
-/// a drain task's fan-out stays hot in that worker's cache) while idle
-/// workers steal from the top (FIFO, so the oldest work migrates).
-/// External submissions enter through one bounded intake queue whose
-/// capacity is the backpressure bound: Submit blocks when serving
-/// cannot keep up instead of queueing without limit.
+/// The execution substrate of the serving layer: N worker threads over
+/// one bounded FIFO queue. The queue's capacity is the backpressure
+/// bound: Submit from outside the pool blocks when serving cannot keep
+/// up instead of queueing without limit, and resumes once the workers
+/// have drained the queue to half. Submit from a worker never blocks —
+/// workers are the queue's only consumers, so a worker waiting for room
+/// could deadlock the pool.
 ///
 /// Each worker owns a PlanScratch arena, reachable from inside a task
 /// via CurrentScratch(): a JunctionTreePlan::Execute per query reuses
 /// the worker's grow-only buffer, so steady-state serving performs no
 /// allocation per query.
-///
-/// The deques use sequentially-consistent atomics on their top/bottom
-/// indices and atomic slot cells rather than standalone fences — the
-/// fence-based Chase-Lev formulation is not modelled by
-/// ThreadSanitizer, and the serving tests run under TSan.
 class TaskScheduler {
  public:
   using Task = std::function<void()>;
@@ -42,15 +35,15 @@ class TaskScheduler {
   struct Options {
     /// Worker threads; 0 means std::thread::hardware_concurrency().
     unsigned num_threads = 0;
-    /// Intake bound: Submit blocks once this many external tasks are
-    /// queued and unclaimed (backpressure).
+    /// Queue bound: Submit from outside the pool blocks once this many
+    /// tasks are queued and unclaimed, until half of them are claimed
+    /// (backpressure).
     size_t queue_capacity = 4096;
   };
 
   struct Stats {
-    uint64_t submitted = 0;  ///< Tasks accepted (Submit + Spawn).
+    uint64_t submitted = 0;  ///< Tasks accepted.
     uint64_t executed = 0;   ///< Tasks run to completion.
-    uint64_t stolen = 0;     ///< Tasks obtained by stealing.
     uint64_t failed = 0;     ///< Tasks that threw (contained per task:
                              ///< the worker survives, the task's own
                              ///< promise carries the error).
@@ -64,18 +57,11 @@ class TaskScheduler {
   /// Drains outstanding tasks, then stops and joins the workers.
   ~TaskScheduler();
 
-  /// Enqueues a task from any thread. Blocks while the intake queue is
-  /// at capacity (from a worker thread it goes to the worker's own
-  /// deque instead — workers are the consumers, so blocking one on
-  /// backpressure could live-lock the pool). Returns false only after
-  /// shutdown has begun.
+  /// Enqueues a task from any thread. From outside the pool it blocks
+  /// at a full queue until the queue is half empty; from a worker
+  /// thread it never blocks. Returns false only after shutdown has
+  /// begun.
   bool Submit(Task task);
-
-  /// Enqueues a subtask. From a worker thread this pushes onto the
-  /// worker's own deque — the cheap path fan-out uses (no lock, no
-  /// backpressure check; stealable by idle workers). From any other
-  /// thread it is Submit.
-  bool Spawn(Task task);
 
   /// Blocks until every task accepted so far has finished.
   void Drain();
@@ -84,11 +70,6 @@ class TaskScheduler {
     return static_cast<unsigned>(workers_.size());
   }
 
-  /// True when the calling thread is one of this scheduler's workers.
-  /// Callers layering their own backpressure on top (e.g. the serving
-  /// intake) must not block a worker thread — workers are the
-  /// consumers, so blocking one can live-lock the pool.
-  bool OnWorkerThread() const;
   Stats stats() const;
 
   /// The calling worker thread's scratch arena, or nullptr when the
@@ -97,75 +78,24 @@ class TaskScheduler {
   static PlanScratch* CurrentScratch();
 
  private:
-  /// Growable single-owner / multi-thief deque (Chase-Lev). The owner
-  /// pushes and pops at the bottom; thieves take from the top. Slots
-  /// hold heap-allocated Task pointers; retired ring buffers are kept
-  /// until destruction because a concurrent thief may still be reading
-  /// a superseded array.
-  class WorkDeque {
-   public:
-    WorkDeque();
-    ~WorkDeque();
-
-    void PushBottom(Task* task);  ///< Owner only.
-    Task* PopBottom();            ///< Owner only.
-    Task* Steal();                ///< Any thread.
-    bool Empty() const;
-
-   private:
-    struct Ring {
-      explicit Ring(uint64_t capacity)
-          : capacity(capacity),
-            mask(capacity - 1),
-            slots(new std::atomic<Task*>[capacity]) {}
-      Task* Get(uint64_t i) const {
-        return slots[i & mask].load(std::memory_order_relaxed);
-      }
-      void Put(uint64_t i, Task* t) {
-        slots[i & mask].store(t, std::memory_order_relaxed);
-      }
-      uint64_t capacity;
-      uint64_t mask;
-      std::unique_ptr<std::atomic<Task*>[]> slots;
-    };
-
-    Ring* Grow(Ring* ring, uint64_t bottom, uint64_t top);
-
-    std::atomic<uint64_t> top_{0};
-    std::atomic<uint64_t> bottom_{0};
-    std::atomic<Ring*> ring_;
-    std::vector<std::unique_ptr<Ring>> retired_;  ///< Owner-only writes.
-  };
-
-  struct Worker {
-    WorkDeque deque;
-    PlanScratch scratch;
-    std::thread thread;
-  };
-
-  void WorkerLoop(unsigned index);
-  /// One task from anywhere (own deque, intake, steal), else nullptr.
-  Task* FindWork(unsigned index, uint64_t* rng_state);
-  void RunTask(Task* task);
+  void WorkerLoop();
+  void RunTask(Task& task);
 
   size_t queue_capacity_;
-  std::vector<std::unique_ptr<Worker>> workers_;
+  std::vector<std::thread> workers_;
 
-  std::mutex intake_mu_;
-  std::condition_variable intake_not_full_;
-  std::deque<Task*> intake_;
+  std::mutex mu_;
+  std::condition_variable not_empty_;
+  std::condition_variable not_full_;
+  std::condition_variable idle_;  ///< Signalled when outstanding_ hits 0.
+  std::deque<Task> queue_;        ///< Guarded by mu_.
+  bool stop_ = false;             ///< Guarded by mu_.
 
-  std::mutex park_mu_;
-  std::condition_variable park_cv_;
-
-  std::mutex drain_mu_;
-  std::condition_variable drain_cv_;
-
-  std::atomic<bool> stop_{false};
+  /// Accepted and not yet finished. An atomic, not a count under mu_:
+  /// finishing a task then takes no lock unless it empties the pool.
   std::atomic<uint64_t> outstanding_{0};
   std::atomic<uint64_t> submitted_{0};
   std::atomic<uint64_t> executed_{0};
-  std::atomic<uint64_t> stolen_{0};
   std::atomic<uint64_t> failed_{0};
 };
 

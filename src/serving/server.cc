@@ -90,9 +90,8 @@ GateId ServingSession::RootOf(const Snapshot& snapshot, QueryKey key) const {
 
 QueryBudget ServingSession::MakeBudget(const QueryOptions& query) const {
   QueryBudget budget;
-  const double deadline_ms =
-      query.deadline_ms > 0 ? query.deadline_ms : options_.default_deadline_ms;
-  if (deadline_ms > 0) budget = QueryBudget::WithDeadlineMs(deadline_ms);
+  if (query.deadline_ms > 0)
+    budget = QueryBudget::WithDeadlineMs(query.deadline_ms);
   budget.max_table_cells = query.max_table_cells;
   budget.max_samples = query.max_samples;
   budget.cancel = query.cancel.get();
@@ -141,6 +140,7 @@ bool ServingSession::ShouldShed(uint64_t backlog_cells,
 }
 
 void ServingSession::Fulfil(const std::shared_ptr<Request>& request) {
+  unstarted_.fetch_sub(1, std::memory_order_relaxed);
   // Per-task exception containment: an engine throw (injected
   // bad_alloc, a builder failure) fails this query's own future; the
   // worker thread — and every other queued future — is unaffected.
@@ -172,11 +172,6 @@ void ServingSession::Fulfil(const std::shared_ptr<Request>& request) {
     request->promise.set_exception(std::current_exception());
   }
   backlog_cells_.fetch_sub(request->charged_cells, std::memory_order_relaxed);
-}
-
-std::future<EngineResult> ServingSession::Submit(QueryKey key,
-                                                 Evidence evidence) {
-  return Submit(key, std::move(evidence), QueryOptions{});
 }
 
 std::future<EngineResult> ServingSession::Submit(QueryKey key,
@@ -223,91 +218,29 @@ std::future<EngineResult> ServingSession::Submit(QueryKey key,
     }
   }
 
-  bool schedule_drain = false;
-  {
-    std::unique_lock<std::mutex> lock(pending_mu_);
-    if (options_.shed_capacity > 0 &&
-        pending_.size() >= options_.shed_capacity) {
-      lock.unlock();
-      request->promise.set_value(
-          MakeStatusResult(kServingName, EngineStatus::kRejected));
-      return result;
-    }
-    // Backpressure: the coalescing buffer is bounded, so memory stays
-    // bounded under overload. Worker threads never block here — they
-    // are the consumers that shrink pending_, so blocking one could
-    // live-lock the pool.
-    if (!scheduler_.OnWorkerThread()) {
-      pending_not_full_.wait(lock, [&] {
-        return pending_.size() < options_.queue_capacity;
-      });
-    }
-    backlog_cells_.fetch_add(request->charged_cells,
-                             std::memory_order_relaxed);
-    pending_.push_back(std::move(request));
-    if (!drain_scheduled_) {
-      drain_scheduled_ = true;
-      schedule_drain = true;
-    }
+  // Capacity shedding bounds the admitted queries that have not
+  // started; the increment claims this request's place among them.
+  const size_t ahead = unstarted_.fetch_add(1, std::memory_order_relaxed);
+  if (options_.shed_capacity > 0 && ahead >= options_.shed_capacity) {
+    unstarted_.fetch_sub(1, std::memory_order_relaxed);
+    request->promise.set_value(
+        MakeStatusResult(kServingName, EngineStatus::kRejected));
+    return result;
   }
-  // At most one drain task is pending at a time: submissions racing in
-  // behind it are picked up by the same drain — that is the coalescing.
-  if (schedule_drain && !scheduler_.Submit([this] { DrainPending(); })) {
-    // Shutdown began: no drain will ever run, so fail everything queued
-    // (leaving drain_scheduled_ set would silently strand all later
-    // submissions too).
-    FailAllPending();
-  }
+  backlog_cells_.fetch_add(request->charged_cells, std::memory_order_relaxed);
+  // One task per query. The scheduler's queue is the backpressure
+  // bound: this blocks while it is full, except on a worker thread.
+  if (!scheduler_.Submit([this, request] { Fulfil(request); }))
+    FailRequest(request);
   return result;
 }
 
-void ServingSession::DrainPending() {
-  std::vector<std::shared_ptr<Request>> batch;
-  bool reschedule = false;
-  {
-    std::lock_guard<std::mutex> lock(pending_mu_);
-    const size_t take = std::min(pending_.size(), kMaxCoalesce);
-    batch.assign(std::make_move_iterator(pending_.begin()),
-                 std::make_move_iterator(pending_.begin() + take));
-    pending_.erase(pending_.begin(), pending_.begin() + take);
-    if (pending_.empty()) {
-      drain_scheduled_ = false;
-    } else {
-      reschedule = true;  // Oversized burst: keep drain_scheduled_ set.
-    }
-  }
-  pending_not_full_.notify_all();
-  if (reschedule && !scheduler_.Spawn([this] { DrainPending(); }))
-    FailAllPending();
-
-  // One subtask per query, pushed onto this worker's deque (idle
-  // workers steal their share).
-  for (const std::shared_ptr<Request>& request : batch) {
-    if (!scheduler_.Spawn([this, request] { Fulfil(request); }))
-      FailRequest(request);
-  }
-}
-
 void ServingSession::FailRequest(const std::shared_ptr<Request>& request) {
+  unstarted_.fetch_sub(1, std::memory_order_relaxed);
   backlog_cells_.fetch_sub(request->charged_cells, std::memory_order_relaxed);
   request->promise.set_exception(std::make_exception_ptr(
       std::runtime_error("ServingSession: shutdown began before the query "
                          "could be scheduled")));
-}
-
-void ServingSession::FailAllPending() {
-  std::vector<std::shared_ptr<Request>> orphaned;
-  {
-    std::lock_guard<std::mutex> lock(pending_mu_);
-    drain_scheduled_ = false;
-    orphaned.swap(pending_);
-  }
-  pending_not_full_.notify_all();
-  for (const auto& request : orphaned) FailRequest(request);
-}
-
-EngineResult ServingSession::Evaluate(QueryKey key, const Evidence& evidence) {
-  return Run(key, evidence, QueryBudget{}, nullptr);
 }
 
 EngineResult ServingSession::Evaluate(QueryKey key, const Evidence& evidence,
@@ -315,12 +248,12 @@ EngineResult ServingSession::Evaluate(QueryKey key, const Evidence& evidence,
   return Run(key, evidence, MakeBudget(query), nullptr);
 }
 
-void ServingSession::Prewarm(QueryKey key) {
+EngineStatus ServingSession::Prewarm(QueryKey key) {
   const std::shared_ptr<const Snapshot> snapshot = Pin();
-  TUD_CHECK(snapshot != nullptr) << "Prewarm before the first epoch";
+  if (snapshot == nullptr) return EngineStatus::kInvalidArgument;
   const GateId root = RootOf(*snapshot, key);
-  TUD_CHECK(root != kInvalidGate) << "Prewarm of a key the source lacks";
-  snapshot->plans->GetOrBuild(*snapshot->circuit, root);
+  if (root == kInvalidGate) return EngineStatus::kInvalidArgument;
+  return snapshot->plans->GetOrBuild(*snapshot->circuit, root)->build_status();
 }
 
 void ServingSession::Drain() { scheduler_.Drain(); }

@@ -2,13 +2,10 @@
 #define TUD_SERVING_SERVER_H_
 
 #include <atomic>
-#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
 #include <future>
 #include <memory>
-#include <mutex>
-#include <vector>
 
 #include "circuits/bool_circuit.h"
 #include "events/event_registry.h"
@@ -27,27 +24,23 @@ namespace serving {
 struct ServingOptions {
   /// Scheduler workers; 0 means hardware concurrency.
   unsigned num_threads = 0;
-  /// Backpressure bound on the coalescing buffer: Submit blocks once
-  /// this many queries are queued and unclaimed.
+  /// Backpressure bound on the scheduler's queue: Submit blocks once
+  /// this many queries are queued and unclaimed, until half of them
+  /// are claimed.
   size_t queue_capacity = 4096;
-  /// Default per-query deadline in milliseconds, applied to queries
-  /// whose QueryOptions carry none. 0 = no default deadline.
-  double default_deadline_ms = 0;
   /// Admission control: with a nonzero shed capacity, a submission that
-  /// finds this many queries already queued is *shed* — its future
-  /// resolves immediately to a kRejected EngineResult — instead of
-  /// blocking the submitter (the overload answer a serving process
+  /// finds this many admitted queries not yet started is *shed* — its
+  /// future resolves immediately to a kRejected EngineResult — instead
+  /// of blocking the submitter (the overload answer a serving process
   /// wants: typed rejection, bounded latency). 0 keeps the blocking
   /// backpressure.
   size_t shed_capacity = 0;
 };
 
 /// Per-query resource governance for Submit/Evaluate. Default
-/// constructed = an unlimited budget (beyond the session's default
-/// deadline).
+/// constructed = an unlimited budget.
 struct QueryOptions {
-  /// Wall-clock deadline in ms from submission; 0 = the session's
-  /// default_deadline_ms (which may itself be "none").
+  /// Wall-clock deadline in ms from submission; 0 = none.
   double deadline_ms = 0;
   /// Table-cell cap (junction-tree message cells); 0 = no cap. A query
   /// whose plan would exceed it returns kResourceExhausted before any
@@ -83,14 +76,14 @@ using QueryKey = size_t;
 ///   may move a query to a new root gate.
 ///
 /// A static source is the epoch case with one epoch that never
-/// advances, so both run one path: Submit prices the query and admits
-/// or sheds it, a coalescing drain fans the queued queries out across a
-/// work-stealing TaskScheduler, and the worker that claims a query pins
-/// the source's snapshot once, resolves the key to a root in it,
-/// validates the request, checks cancellation and deadline, fetches
-/// the plan from the snapshot's ConcurrentPlanCache (each distinct root
-/// compiles exactly once across all threads) and runs it on its own
-/// scratch arena, so the steady-state numeric pass is allocation-free.
+/// advances, so both run one path: Submit prices the query, admits or
+/// sheds it, and hands it to the TaskScheduler's queue as one task; the
+/// worker that claims the task pins the source's snapshot once,
+/// resolves the key to a root in it, validates the request, checks
+/// cancellation and deadline, fetches the plan from the snapshot's
+/// ConcurrentPlanCache (each distinct root compiles exactly once across
+/// all threads) and runs it on its own scratch arena, so the
+/// steady-state numeric pass is allocation-free.
 /// Answers are bit-identical to sequential evaluation.
 ///
 /// Epoch visibility: circuit, registry, plans and query roots are all
@@ -108,10 +101,6 @@ using QueryKey = size_t;
 /// circuit and registry (or the epoch manager) must outlive the session.
 class ServingSession {
  public:
-  /// Most queued requests one drain task takes; the rest go to a
-  /// rescheduled drain.
-  static constexpr size_t kMaxCoalesce = 64;
-
   /// Static source over `circuit` and `registry`.
   ServingSession(const BoolCircuit& circuit, const EventRegistry& registry,
                  const ServingOptions& options = {});
@@ -136,15 +125,14 @@ class ServingSession {
                              const ServingOptions& options = {});
 
   /// Enqueues one query. Thread-safe; blocks only under backpressure
-  /// (more than queue_capacity queries queued and unclaimed — never
-  /// when called from a worker thread, where blocking could live-lock
-  /// the pool). A malformed request (a key the source does not carry,
-  /// an evidence event unknown to the registry) resolves to
-  /// kInvalidArgument. If the session is shutting down the future
-  /// resolves to a std::runtime_error.
-  std::future<EngineResult> Submit(QueryKey key, Evidence evidence = {});
-
-  /// As above with per-query governance: the deadline covers queue time
+  /// (queue_capacity queries queued and unclaimed — never when called
+  /// from a worker thread, where blocking could deadlock the pool). A
+  /// malformed request (a key the source does not carry, an evidence
+  /// event unknown to the registry) resolves to kInvalidArgument. If
+  /// the session is shutting down the future resolves to a
+  /// std::runtime_error.
+  ///
+  /// `query` adds per-query governance: the deadline covers queue time
   /// plus execution (a query claimed after its deadline resolves
   /// kDeadlineExceeded without running), caps and cancellation are
   /// checked at bag granularity inside the plan's pass, and admission
@@ -158,21 +146,22 @@ class ServingSession {
   /// ns-per-cell rate — so one queued 2^20-cell monster counts for what
   /// it costs, not for one "average query". A governed future therefore
   /// always resolves within the deadline plus one bag's slack.
-  std::future<EngineResult> Submit(QueryKey key, Evidence evidence,
-                                   const QueryOptions& query);
+  std::future<EngineResult> Submit(QueryKey key, Evidence evidence = {},
+                                   const QueryOptions& query = {});
 
   /// Synchronous evaluation on the calling thread, through the same
   /// plan cache and validation (no queue, so no admission control: the
   /// budget's caps/deadline/token apply directly). A caller thread
   /// reuses one scratch arena across calls.
-  EngineResult Evaluate(QueryKey key, const Evidence& evidence = {});
-  EngineResult Evaluate(QueryKey key, const Evidence& evidence,
-                        const QueryOptions& query);
+  EngineResult Evaluate(QueryKey key, const Evidence& evidence = {},
+                        const QueryOptions& query = {});
 
   /// Compiles the plan for `key` in the current snapshot now, so
   /// serving traffic never pays its cold Build (an epoch source's
-  /// published snapshots come prewarmed already).
-  void Prewarm(QueryKey key);
+  /// published snapshots come prewarmed already). Returns the plan's
+  /// build_status(), or kInvalidArgument before the first epoch or for
+  /// a key the source does not carry.
+  EngineStatus Prewarm(QueryKey key);
 
   /// Blocks until every submitted query has resolved.
   void Drain();
@@ -230,23 +219,17 @@ class ServingSession {
   /// built, `plan_cells` (if non-null) receives its total_cells().
   EngineResult Run(QueryKey key, const Evidence& evidence,
                    const QueryBudget& budget, uint64_t* plan_cells) const;
-  /// Resolves (QueryOptions, session defaults) into a concrete budget,
-  /// stamping the deadline now — queue time counts against it.
+  /// Resolves QueryOptions into a concrete budget, stamping the
+  /// deadline now — queue time counts against it.
   QueryBudget MakeBudget(const QueryOptions& query) const;
   /// Executes one request on a worker, with per-task exception
   /// containment (a throw fails this future only), and calibrates the
   /// admission cost model from its service time.
   void Fulfil(const std::shared_ptr<Request>& request);
-  /// The drain task: moves out up to kMaxCoalesce pending requests and
-  /// fans them out across the pool.
-  void DrainPending();
   /// Resolves the request's future to a shutdown error (the scheduler
   /// rejected the work because shutdown has begun) and releases its
-  /// backlog charge.
+  /// admission charges.
   void FailRequest(const std::shared_ptr<Request>& request);
-  /// Fails every queued request and clears drain_scheduled_ — the
-  /// recovery path when scheduling a drain task is rejected.
-  void FailAllPending();
 
   /// Epoch source (null for a static source).
   const incremental::EpochManager* epochs_ = nullptr;
@@ -255,10 +238,9 @@ class ServingSession {
   std::shared_ptr<const Snapshot> fixed_;
   ServingOptions options_;
 
-  std::mutex pending_mu_;
-  std::condition_variable pending_not_full_;
-  std::vector<std::shared_ptr<Request>> pending_;
-  bool drain_scheduled_ = false;
+  /// Admitted queries whose task has not started yet: what
+  /// shed_capacity bounds.
+  std::atomic<size_t> unstarted_{0};
   /// Admission cost model (relaxed atomics: the estimate tolerates
   /// staleness; all three are seeded at 0 so an idle session never
   /// sheds on a cold model). The rate is measured in nanoseconds per

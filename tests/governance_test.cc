@@ -619,9 +619,43 @@ TEST(ServingGovernanceTest, UnknownEvidenceEventIsInvalidArgument) {
   }
 }
 
+// Prewarm reports a status instead of aborting: kInvalidArgument before
+// the first epoch or for a key the source lacks, otherwise the plan's
+// build_status() — kResourceExhausted for a plan whose pools exceed a
+// lowered offset limit.
+TEST(ServingGovernanceTest, PrewarmReturnsStatus) {
+  LadderFixture f = MakeLadder();
+  ServingOptions options;
+  options.num_threads = 1;
+  {
+    incremental::EpochManager no_epoch_yet;
+    ServingSession early(no_epoch_yet, options);
+    EXPECT_EQ(early.Prewarm(0), EngineStatus::kInvalidArgument);
+  }
+  for (Source source : kSources) {
+    SCOPED_TRACE(testing::SourceName(source));
+    {
+      ServedQueries served = ServeLadder(source, f, options);
+      ServingSession& serving = served.serving();
+      EXPECT_EQ(serving.Prewarm(served.key(0)), EngineStatus::kOk);
+      // The static source is keyed by gate id, the epoch source by the
+      // index of its one registered query.
+      const serving::QueryKey missing =
+          source == Source::kStatic ? f.session.pcc().circuit().NumGates()
+                                    : served.key(0) + 1;
+      EXPECT_EQ(serving.Prewarm(missing), EngineStatus::kInvalidArgument);
+    }
+    const ScopedOffsetLimit limit(64);
+    ServedQueries served = ServeLadder(source, f, options);
+    EXPECT_EQ(served.serving().Prewarm(served.key(0)),
+              EngineStatus::kResourceExhausted);
+  }
+}
+
 // Deterministic shed test: one worker is pinned on a latch, so the
-// coalescing buffer cannot drain; with shed_capacity=1 the second
-// submission must be rejected typed and immediately.
+// first query waits in the scheduler's queue without starting; with
+// shed_capacity=1 the second submission must be rejected typed and
+// immediately.
 TEST(ServingGovernanceTest, ShedCapacityRejectsTyped) {
   LadderFixture f = MakeLadder();
   for (Source source : kSources) {

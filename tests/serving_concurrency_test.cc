@@ -1,13 +1,13 @@
 // The serving layer's contracts, exercised under real concurrency (run
 // these under TSan — the CI thread-sanitizer job does):
-//  - TaskScheduler runs every task exactly once, Spawn fan-out and
-//    stealing included;
+//  - TaskScheduler runs every task exactly once, tasks submitted from
+//    inside tasks included, and a worker never blocks on backpressure;
 //  - ConcurrentPlanCache builds each root exactly once under a
 //    thundering herd;
 //  - a shared JunctionTreeEngine and a ServingSession return results
 //    *bit-identical* to sequential evaluation from 8 threads, over both
 //    snapshot sources (static and epoch), with and without evidence;
-//  - a burst larger than one drain's cap reschedules the drain and
+//  - a burst queued behind a pinned worker runs one task per query and
 //    still resolves every future to the sequential bits;
 //  - an IncrementalSession writer publishing epochs races 7 reader
 //    threads without a reader ever observing a torn or stale-mixed
@@ -122,21 +122,24 @@ TEST(TaskSchedulerTest, RunsEveryTaskExactlyOnce) {
   EXPECT_EQ(stats.executed, kTasks);
 }
 
-TEST(TaskSchedulerTest, SpawnFanOutFromInsideTasks) {
+// Nested Submit from inside tasks with a one-slot queue: every worker
+// fans out far past the capacity, so this hangs if a worker ever waits
+// on backpressure (the workers are the queue's only consumers).
+TEST(TaskSchedulerTest, NestedSubmitFromWorkersNeverBlocks) {
   TaskScheduler::Options options;
   options.num_threads = 4;
+  options.queue_capacity = 1;
   TaskScheduler scheduler(options);
   std::atomic<uint64_t> leaves{0};
   constexpr uint64_t kRoots = 16, kChildren = 64;
   for (uint64_t i = 0; i < kRoots; ++i) {
-    scheduler.Submit([&] {
-      // Inside a worker: Spawn pushes to the worker's own deque, and a
-      // worker thread must see its scratch arena.
+    ASSERT_TRUE(scheduler.Submit([&] {
+      // A worker thread must see its scratch arena.
       EXPECT_NE(TaskScheduler::CurrentScratch(), nullptr);
       for (uint64_t c = 0; c < kChildren; ++c)
-        scheduler.Spawn(
-            [&leaves] { leaves.fetch_add(1, std::memory_order_relaxed); });
-    });
+        EXPECT_TRUE(scheduler.Submit(
+            [&leaves] { leaves.fetch_add(1, std::memory_order_relaxed); }));
+    }));
   }
   scheduler.Drain();
   EXPECT_EQ(leaves.load(), kRoots * kChildren);
@@ -148,7 +151,7 @@ TEST(TaskSchedulerTest, SpawnFanOutFromInsideTasks) {
 TEST(TaskSchedulerTest, BackpressureBoundHolds) {
   TaskScheduler::Options options;
   options.num_threads = 2;
-  options.queue_capacity = 8;  // Tiny intake: Submit must block, not drop.
+  options.queue_capacity = 8;  // Tiny queue: Submit must block, not drop.
   TaskScheduler scheduler(options);
   std::atomic<uint64_t> ran{0};
   for (int i = 0; i < 500; ++i)
@@ -305,11 +308,11 @@ TEST(ServingConcurrencyTest, PrewarmMakesServingBuildFree) {
   EXPECT_EQ(serving.plan_cache().builds(), p.lineages.size());
 }
 
-// The coalescing intake honours queue_capacity too: with a tiny bound
-// and a flood of external submissions, Submit blocks (never drops), the
-// pending buffer stays bounded, and every future still resolves to the
-// sequential bits.
-TEST(ServingConcurrencyTest, CoalescingBackpressureBlocksNotDrops) {
+// ServingSession::Submit honours queue_capacity: the scheduler's queue
+// is the bound, so with a tiny bound and a flood of external
+// submissions Submit blocks (never drops), the queue stays bounded, and
+// every future still resolves to the sequential bits.
+TEST(ServingConcurrencyTest, SubmitBackpressureBlocksNotDrops) {
   Prepared p = PrepareLadder(12, 6, 240);
   ServingOptions options;
   options.num_threads = 2;
@@ -331,12 +334,12 @@ TEST(ServingConcurrencyTest, CoalescingBackpressureBlocksNotDrops) {
     EXPECT_EQ(futures[q].get().value, p.expected[q]) << "query " << q;
 }
 
-// A burst larger than one drain's cap: the single worker is pinned on a
-// latch, so every submission queues in the coalescing buffer; on
-// release the first drain takes kMaxCoalesce, reschedules itself for
-// the rest, and every future still resolves to the sequential bits.
-TEST(ServingConcurrencyTest, OversizedBurstReschedulesDrain) {
-  Prepared p = PrepareLadder(12, 6, 2 * ServingSession::kMaxCoalesce + 5);
+// A burst behind a pinned worker: the single worker is pinned on a
+// latch, so every submission waits in the scheduler's queue; on release
+// each query runs as its own task, and every future still resolves to
+// the sequential bits.
+TEST(ServingConcurrencyTest, BurstBehindPinnedWorkerRunsOneTaskPerQuery) {
+  Prepared p = PrepareLadder(12, 6, 133);
   for (Source source : kSources) {
     SCOPED_TRACE(testing::SourceName(source));
     ServingOptions options;
@@ -358,10 +361,9 @@ TEST(ServingConcurrencyTest, OversizedBurstReschedulesDrain) {
 
     for (size_t q = 0; q < futures.size(); ++q)
       EXPECT_EQ(futures[q].get().value, p.expected[q]) << "query " << q;
-    // The latch, three drains (64 + 64 + 5 requests) and one task per
-    // query: the burst was split, not dropped or served twice.
+    // The latch and one task per query: nothing dropped or served twice.
     EXPECT_EQ(serving.scheduler().stats().executed - executed_before,
-              1u + 3u + p.queries.size());
+              1u + p.queries.size());
   }
 }
 
